@@ -9,9 +9,10 @@
 //! deterministic event stream of batch arrivals and retirements:
 //!
 //! * every **arrival** is committed immediately to the best admissible
-//!   rack under a pluggable [`CommitPolicy`], evaluated in O(T) per
-//!   candidate against the cached aggregate rows (a fused
-//!   [`peak_of_sum_samples`] probe per path node — no full recompute);
+//!   rack under a pluggable [`CommitPolicy`], evaluated in one O(T) pass
+//!   per candidate rack against its cached aggregate row (a fused
+//!   [`peak_of_sum_samples`] probe; ancestors are cleared in O(1) by an
+//!   exact peak bound and rescanned only when it is inconclusive);
 //! * every **retirement** releases its slot and the touched power path is
 //!   refreshed;
 //! * a configurable **repair budget** amortizes cleanup through the
@@ -36,8 +37,8 @@
 //!
 //! Policies break ties deterministically (ascending rack id last), events
 //! within a batch are canonically ordered by [`OnlineFleet::apply`], and
-//! every parallel scan is a positional [`par_map`], so the engine is
-//! bit-reproducible at any thread count.
+//! candidate probes run serially (each costs well under the price of a
+//! worker spawn), so the engine is bit-reproducible at any thread count.
 //!
 //! [`refresh_ancestors`]: NodeAggregates::refresh_ancestors
 //! [`peak_of_sum_samples`]: crate::score::peak_of_sum_samples
@@ -45,14 +46,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use so_parallel::par_map;
 use so_powertrace::{peak_of_samples, PowerTrace, TimeGrid, TraceArena, TraceError};
 use so_powertree::{Assignment, Level, NodeAggregates, NodeId, PowerTopology, TreeError};
 use so_telemetry::{AlertTransition, FlightKind, LivePlane};
 
 use crate::error::CoreError;
 use crate::remap::{remap_arena, RemapConfig, RemapReport};
-use crate::score::{pairwise_score, pairwise_score_samples, peak_of_sum_samples};
+use crate::score::{pairwise_score, peak_of_sum_samples};
 
 /// How an arrival picks its rack among the admissible candidates.
 ///
@@ -332,8 +332,8 @@ pub struct OnlineFleet {
     frag_reference: Option<Vec<f64>>,
     /// Per-node "the reference candidate fits under this node's budget"
     /// bits, maintained alongside every canonical refresh while
-    /// `frag_reference` is set. Same arithmetic as
-    /// [`OnlineFleet::evaluate`]'s budget probes, so the cached
+    /// `frag_reference` is set. Same verdicts as
+    /// [`OnlineFleet::evaluate`]'s budget checks, so the cached
     /// fragmentation is bit-identical to the full recompute.
     fits_node: Vec<bool>,
     /// Counter snapshots at the previous [`OnlineFleet::observe_batch`],
@@ -539,27 +539,18 @@ impl OnlineFleet {
         if self.frag_reference.is_none() {
             return Ok(None);
         }
-        let mut admits = BTreeMap::new();
-        for &rack in self.topology.racks() {
-            admits.insert(rack, self.reference_admits(rack)?);
-        }
-        Ok(Some(self.fragmentation_from_admits(&admits)?))
-    }
-
-    /// Whether the reference candidate is admissible on `rack` according
-    /// to the cached per-node budget probes: a free slot, and every path
-    /// node's budget holds.
-    fn reference_admits(&self, rack: NodeId) -> Result<bool, CoreError> {
+        // The reference is admissible on a rack when it has a free slot
+        // and every node on its root path fits; one forward pass (parents
+        // precede children) carries "the whole path above fits" down.
+        // Internal nodes have no members, so their slot test always holds.
         let capacity = self.topology.rack_capacity();
-        if self.members[rack.index()].len() >= capacity || !self.fits_node[rack.index()] {
-            return Ok(false);
+        let mut admits = vec![false; self.topology.len()];
+        for node in self.topology.nodes() {
+            let i = node.id().index();
+            let path_fits = node.parent().map_or(true, |p| admits[p.index()]);
+            admits[i] = path_fits && self.fits_node[i] && self.members[i].len() < capacity;
         }
-        for ancestor in self.topology.ancestors(rack).map_err(CoreError::Tree)? {
-            if !self.fits_node[ancestor.index()] {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        Ok(Some(self.fragmentation_from_admits(admits)?))
     }
 
     /// One observability heartbeat, called from the serial point at the
@@ -665,49 +656,55 @@ impl OnlineFleet {
         Ok((traces, assignment, slots))
     }
 
-    /// Evaluates admitting `candidate` onto one rack, fused: one
-    /// [`peak_of_sum_samples`] probe against the rack's cached aggregate
-    /// row, one per ancestor (skipped once inadmissible), and one
-    /// [`pairwise_score_samples`] — O(T) per path node, no allocation, and
-    /// bit-identical to the materializing [`crate::admission_decisions`]
-    /// arithmetic.
+    /// Evaluates admitting `candidate` onto one rack in one O(T) pass: a
+    /// fused [`peak_of_sum_samples`] probe against the rack's cached
+    /// aggregate row, whose result also yields the pairwise asynchrony
+    /// from the cached peaks. Ancestors are cleared by an exact O(1) peak
+    /// bound and rescanned only when it is inconclusive. Allocation-free
+    /// and bit-identical to the materializing
+    /// [`crate::admission_decisions`] arithmetic.
     ///
     /// # Errors
     ///
     /// Propagates tree lookups and row-length mismatches.
     pub fn evaluate(&self, rack: NodeId, candidate: &[f64]) -> Result<LeafDecision, CoreError> {
-        let aggregate = self.aggregates.trace(rack).map_err(CoreError::Tree)?;
-        let row = aggregate.samples();
+        self.evaluate_with_peak(rack, candidate, peak_of_samples(candidate))
+    }
+
+    /// [`OnlineFleet::evaluate`] with the candidate's peak supplied, so a
+    /// scan over many racks computes it once per candidate.
+    fn evaluate_with_peak(
+        &self,
+        rack: NodeId,
+        candidate: &[f64],
+        candidate_peak: f64,
+    ) -> Result<LeafDecision, CoreError> {
+        let row = self
+            .aggregates
+            .trace(rack)
+            .map_err(CoreError::Tree)?
+            .samples();
         let new_peak = peak_of_sum_samples(row, candidate)?;
-        let old_peak = aggregate.peak();
+        let old_peak = self.aggregates.peak(rack).map_err(CoreError::Tree)?;
 
         let capacity = self.topology.rack_capacity();
         let has_slot = self.members[rack.index()].len() < capacity;
-        let mut path_ok = new_peak <= self.budgets[rack.index()];
-        if path_ok {
-            for ancestor in self.topology.ancestors(rack).map_err(CoreError::Tree)? {
-                let anc_row = self
-                    .aggregates
-                    .trace(ancestor)
-                    .map_err(CoreError::Tree)?
-                    .samples();
-                if peak_of_sum_samples(anc_row, candidate)? > self.budgets[ancestor.index()] {
-                    path_ok = false;
-                    break;
-                }
-            }
-        }
+        let power_ok = new_peak <= self.budgets[rack.index()]
+            && self.ancestors_admit(rack, candidate, candidate_peak)?;
 
-        let asynchrony = if old_peak > 0.0 {
-            pairwise_score_samples(row, candidate)?
+        // `pairwise_score_samples(row, candidate)`, fused: its peak sum is
+        // the two cached peaks added onto 0.0, and its aggregate peak is
+        // exactly `new_peak`.
+        let asynchrony = if old_peak > 0.0 && new_peak != 0.0 {
+            (0.0 + old_peak + candidate_peak) / new_peak
         } else {
             2.0
         };
         Ok(LeafDecision {
             rack,
-            fits: has_slot && path_ok,
+            fits: has_slot && power_ok,
             has_slot,
-            power_ok: path_ok,
+            power_ok,
             new_peak_watts: new_peak,
             peak_increase_watts: new_peak - old_peak,
             headroom_watts: self.budgets[rack.index()] - new_peak,
@@ -715,20 +712,55 @@ impl OnlineFleet {
         })
     }
 
-    /// Evaluates `candidate` against every rack (parallel, positional —
-    /// thread-count-free), in ascending rack order.
+    /// Whether every ancestor of `rack` keeps its budget with `candidate`
+    /// added, walking parent links up to the root.
+    ///
+    /// The O(1) bound is exact: samples are finite and non-negative and
+    /// round-to-nearest addition is monotone, so every
+    /// `fl(a[t] + c[t]) <= fl(peak(a) + peak(c))`. A bound within budget
+    /// therefore proves the ancestor fits; only an inconclusive bound
+    /// pays the O(T) [`peak_of_sum_samples`] rescan, with the original
+    /// `> budget` comparison.
+    fn ancestors_admit(
+        &self,
+        rack: NodeId,
+        candidate: &[f64],
+        candidate_peak: f64,
+    ) -> Result<bool, CoreError> {
+        let mut node = self.topology.node(rack).map_err(CoreError::Tree)?;
+        while let Some(ancestor) = node.parent() {
+            let budget = self.budgets[ancestor.index()];
+            let peak = self.aggregates.peak(ancestor).map_err(CoreError::Tree)?;
+            let proven = peak + candidate_peak <= budget;
+            if !proven {
+                let row = self
+                    .aggregates
+                    .trace(ancestor)
+                    .map_err(CoreError::Tree)?
+                    .samples();
+                if peak_of_sum_samples(row, candidate)? > budget {
+                    return Ok(false);
+                }
+            }
+            node = self.topology.node(ancestor).map_err(CoreError::Tree)?;
+        }
+        Ok(true)
+    }
+
+    /// Evaluates `candidate` against every rack, in ascending rack order.
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors.
     pub fn decisions(&self, candidate: &PowerTrace) -> Result<Vec<LeafDecision>, CoreError> {
         self.check_grid(candidate)?;
-        let racks = self.topology.racks();
-        par_map(racks, 16, |_, &rack| {
-            self.evaluate(rack, candidate.samples())
-        })
-        .into_iter()
-        .collect()
+        let samples = candidate.samples();
+        let peak = peak_of_samples(samples);
+        self.topology
+            .racks()
+            .iter()
+            .map(|&rack| self.evaluate_with_peak(rack, samples, peak))
+            .collect()
     }
 
     /// The candidate racks the configured policy probes for arrival
@@ -756,12 +788,13 @@ impl OnlineFleet {
     pub fn arrive(&mut self, candidate: &PowerTrace) -> Result<Option<usize>, CoreError> {
         self.check_grid(candidate)?;
         let ordinal = self.arrivals_seen;
-        let candidates = self.candidate_racks(ordinal);
-        let decisions: Vec<LeafDecision> = par_map(&candidates, 16, |_, &rack| {
-            self.evaluate(rack, candidate.samples())
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
+        let samples = candidate.samples();
+        let candidate_peak = peak_of_samples(samples);
+        let decisions = self
+            .candidate_racks(ordinal)
+            .into_iter()
+            .map(|rack| self.evaluate_with_peak(rack, samples, candidate_peak))
+            .collect::<Result<Vec<_>, _>>()?;
         let choice = select_decision(&self.config.policy, &decisions);
         self.arrivals_seen += 1;
 
@@ -776,7 +809,7 @@ impl OnlineFleet {
             self.push_journal(EventRecord::Rejected { ordinal });
             if breaker_bound {
                 if let Some(plane) = &self.plane {
-                    plane.note_breaker_violation(ordinal, peak_of_samples(candidate.samples()));
+                    plane.note_breaker_violation(ordinal, candidate_peak);
                 }
                 if so_telemetry::enabled() {
                     so_telemetry::counter_add("so_online_breaker_violations_total", &[], 1);
@@ -1095,29 +1128,34 @@ impl OnlineFleet {
         reference: &PowerTrace,
     ) -> Result<Vec<FragmentationLevel>, CoreError> {
         self.check_grid(reference)?;
-        let racks = self.topology.racks();
-        let fits: Vec<bool> = par_map(racks, 16, |_, &rack| {
-            self.evaluate(rack, reference.samples()).map(|d| d.fits)
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-        let admits: BTreeMap<NodeId, bool> = racks
-            .iter()
-            .zip(&fits)
-            .map(|(&rack, &fit)| (rack, fit))
-            .collect();
-        self.fragmentation_from_admits(&admits)
+        let samples = reference.samples();
+        let peak = peak_of_samples(samples);
+        let mut admits = vec![false; self.topology.len()];
+        for &rack in self.topology.racks() {
+            admits[rack.index()] = self.evaluate_with_peak(rack, samples, peak)?.fits;
+        }
+        self.fragmentation_from_admits(admits)
     }
 
     /// The per-level stranded-headroom accounting shared by the full
     /// recompute ([`OnlineFleet::fragmentation`]) and the incremental
     /// path ([`OnlineFleet::fragmentation_cached`]) — one code path, so
-    /// the two agree bit-for-bit by construction. Emits the per-level
-    /// gauges when telemetry is installed.
+    /// the two agree bit-for-bit by construction. `admits` is indexed by
+    /// node id and read at racks only. Emits the per-level gauges when
+    /// telemetry is installed.
     fn fragmentation_from_admits(
         &self,
-        admits: &BTreeMap<NodeId, bool>,
+        mut admits: Vec<bool>,
     ) -> Result<Vec<FragmentationLevel>, CoreError> {
+        // One reverse-id pass (parents precede children) turns the rack
+        // bits into "some rack in this node's subtree admits".
+        for node in self.topology.nodes().iter().rev() {
+            if node.is_rack() {
+                continue;
+            }
+            let i = node.id().index();
+            admits[i] = node.children().iter().any(|c| admits[c.index()]);
+        }
         let levels = [
             Level::Datacenter,
             Level::Suite,
@@ -1133,13 +1171,7 @@ impl OnlineFleet {
             for &node in self.topology.nodes_at_level(level) {
                 let h = self.headroom(node)?.max(0.0);
                 headroom += h;
-                let admissible = self
-                    .topology
-                    .racks_under(node)
-                    .map_err(CoreError::Tree)?
-                    .iter()
-                    .any(|r| admits[r]);
-                if !admissible {
+                if !admits[node.index()] {
                     stranded += h;
                 }
             }
@@ -1187,14 +1219,17 @@ impl OnlineFleet {
             .refresh_ancestors(&self.topology, racks)
             .map_err(CoreError::Tree)?;
         if self.frag_reference.is_some() {
-            let mut touched = BTreeSet::new();
+            let mut touched = Vec::new();
             for &rack in racks {
-                touched.insert(rack);
-                for ancestor in self.topology.ancestors(rack).map_err(CoreError::Tree)? {
-                    touched.insert(ancestor);
+                let mut node = self.topology.node(rack).map_err(CoreError::Tree)?;
+                touched.push(rack);
+                while let Some(parent) = node.parent() {
+                    touched.push(parent);
+                    node = self.topology.node(parent).map_err(CoreError::Tree)?;
                 }
             }
-            let touched: Vec<NodeId> = touched.into_iter().collect();
+            touched.sort_unstable();
+            touched.dedup();
             self.refresh_reference_fits(&touched)?;
         }
         Ok(())
@@ -1202,7 +1237,7 @@ impl OnlineFleet {
 
     /// Recomputes the cached reference-fit bit for each of `nodes`: one
     /// fused [`peak_of_sum_samples`] probe per node against its resident
-    /// aggregate row — the same arithmetic as
+    /// aggregate row — the same verdict as
     /// [`OnlineFleet::evaluate`]'s budget checks.
     fn refresh_reference_fits(&mut self, nodes: &[NodeId]) -> Result<(), CoreError> {
         let Some(reference) = &self.frag_reference else {

@@ -2,9 +2,9 @@
 //! that must hold for *any* event stream, not just the curated examples.
 
 use proptest::prelude::*;
-use so_core::{CommitPolicy, OnlineConfig, OnlineFleet};
+use so_core::{pairwise_score, CommitPolicy, LeafDecision, OnlineConfig, OnlineFleet};
 use so_powertrace::{PowerTrace, TimeGrid};
-use so_powertree::PowerTopology;
+use so_powertree::{NodeId, PowerTopology};
 
 const STEP: u32 = 60;
 const LEN: usize = 6;
@@ -137,6 +137,106 @@ proptest! {
         prop_assert_eq!(fleet.live_len(), 0);
         for bits in aggregate_bits(&fleet) {
             prop_assert_eq!(bits, 0.0f64.to_bits());
+        }
+    }
+}
+
+/// The materializing reference for one [`LeafDecision`]: `try_add().peak()`
+/// at the rack and at every ancestor (a full scan, no peak bound and no
+/// early exit), and [`pairwise_score`] for the asynchrony.
+fn reference_decision(fleet: &OnlineFleet, rack: NodeId, candidate: &PowerTrace) -> LeafDecision {
+    let topology = fleet.topology();
+    let budgets = fleet.budgets();
+    let aggregate = fleet.aggregates().trace(rack).unwrap();
+    let new_peak = aggregate.try_add(candidate).unwrap().peak();
+    let old_peak = aggregate.peak();
+    let members = fleet
+        .live_slots()
+        .into_iter()
+        .filter(|&s| fleet.rack_of(s) == Some(rack))
+        .count();
+    let has_slot = members < topology.rack_capacity();
+    let mut power_ok = new_peak <= budgets[rack.index()];
+    for ancestor in topology.ancestors(rack).unwrap() {
+        let anc = fleet.aggregates().trace(ancestor).unwrap();
+        if anc.try_add(candidate).unwrap().peak() > budgets[ancestor.index()] {
+            power_ok = false;
+        }
+    }
+    let asynchrony = if old_peak > 0.0 {
+        pairwise_score(aggregate, candidate).unwrap()
+    } else {
+        2.0
+    };
+    LeafDecision {
+        rack,
+        fits: has_slot && power_ok,
+        has_slot,
+        power_ok,
+        new_peak_watts: new_peak,
+        peak_increase_watts: new_peak - old_peak,
+        headroom_watts: budgets[rack.index()] - new_peak,
+        asynchrony,
+    }
+}
+
+/// Every field of a decision, floats as bits, for exact comparison.
+fn decision_bits(d: &LeafDecision) -> (NodeId, bool, bool, bool, [u64; 4]) {
+    (
+        d.rack,
+        d.fits,
+        d.has_slot,
+        d.power_ok,
+        [
+            d.new_peak_watts.to_bits(),
+            d.peak_increase_watts.to_bits(),
+            d.headroom_watts.to_bits(),
+            d.asynchrony.to_bits(),
+        ],
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The fused probe (`evaluate`, `decisions`) equals the materializing
+    /// reference bit for bit under randomly tightened budgets. Per node,
+    /// `mode` keeps the loose budget (the O(1) peak bound proves the
+    /// fit), sets it between the node's peak and peak + candidate peak
+    /// (bound inconclusive: the rescan either clears or vetoes), pins it
+    /// to the exact post-admission peak (fits at `<=` equality), or to
+    /// the bound itself (bound proves the fit at equality).
+    #[test]
+    fn fused_probe_matches_materializing_reference(
+        warm in batch(0..=12),
+        candidate in batch(1..=1),
+        tighten in prop::collection::vec((0u8..4, 0.0f64..1.0), 17..=17),
+    ) {
+        let mut fleet = engine(CommitPolicy::BestAsynchrony);
+        fleet.apply(&warm, &[]).unwrap();
+        let candidate = &candidate[0];
+        let candidate_peak = candidate.peak();
+        let mut budgets = fleet.budgets().to_vec();
+        prop_assert_eq!(budgets.len(), tighten.len());
+        for (i, &(mode, frac)) in tighten.iter().enumerate() {
+            let trace = fleet.aggregates().trace(NodeId::new(i)).unwrap();
+            let peak = trace.peak();
+            budgets[i] = match mode {
+                0 => budgets[i],
+                1 => peak + frac * candidate_peak,
+                2 => trace.try_add(candidate).unwrap().peak(),
+                _ => peak + candidate_peak,
+            };
+        }
+        let fleet = fleet.with_budgets(budgets).unwrap();
+
+        let decisions = fleet.decisions(candidate).unwrap();
+        prop_assert_eq!(decisions.len(), fleet.topology().racks().len());
+        for (d, &rack) in decisions.iter().zip(fleet.topology().racks()) {
+            let want = decision_bits(&reference_decision(&fleet, rack, candidate));
+            prop_assert_eq!(decision_bits(d), want);
+            let single = fleet.evaluate(rack, candidate.samples()).unwrap();
+            prop_assert_eq!(decision_bits(&single), want);
         }
     }
 }

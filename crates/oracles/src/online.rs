@@ -19,17 +19,18 @@
 //! Everything except the two bounds checks is *exact*: the engine's
 //! canonical path refresh and fused probes are documented to perform the
 //! same float operations in the same order as the offline paths, so any
-//! ULP of drift is a bug. [`check_resident_aggregates`] and
-//! [`check_commit_decision`] are exported so mutation tests can feed
-//! deliberately broken states through the same checkers the battery runs.
+//! ULP of drift is a bug. [`check_resident_aggregates`],
+//! [`check_commit_decision`] and [`check_leaf_decisions`] are exported so
+//! mutation tests can feed deliberately broken states through the same
+//! checkers the battery runs.
 
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use so_core::{
-    admission_decisions, asynchrony_score, offline_choose, CommitPolicy, EventRecord, OnlineConfig,
-    OnlineFleet,
+    admission_decisions, asynchrony_score, offline_choose, CommitPolicy, EventRecord, LeafDecision,
+    OnlineConfig, OnlineFleet,
 };
 use so_powertrace::{PowerTrace, TimeGrid};
 use so_powertree::{Assignment, NodeAggregates, NodeId, PowerTopology};
@@ -389,10 +390,31 @@ fn rejection_is_agreed(
 }
 
 /// Fused [`OnlineFleet::decisions`] vs the materializing
-/// [`admission_decisions`] over the same live view: `fits`, peaks, peak
-/// increases, and asynchrony must share every bit.
+/// [`admission_decisions`] over the same live view, for the first live
+/// trace as the candidate (see [`check_leaf_decisions`]).
 fn decisions_match_admission(
     engine: &OnlineFleet,
+    report: &mut OracleReport,
+) -> Result<(), OracleError> {
+    let (traces, _, _) = engine.live_view().map_err(OracleError::Core)?;
+    let Some(candidate) = traces.first() else {
+        return Ok(());
+    };
+    let online = engine.decisions(candidate).map_err(OracleError::Core)?;
+    check_leaf_decisions(engine, candidate, &online, report)
+}
+
+/// Holds `claimed` per-rack decisions for `candidate` against the
+/// materializing [`admission_decisions`] over `engine`'s live view:
+/// `fits`, peaks, peak increases, and asynchrony must share every bit.
+///
+/// # Errors
+///
+/// Propagates live-view and recompute failures.
+pub fn check_leaf_decisions(
+    engine: &OnlineFleet,
+    candidate: &PowerTrace,
+    claimed: &[LeafDecision],
     report: &mut OracleReport,
 ) -> Result<(), OracleError> {
     let (traces, assignment, _) = engine.live_view().map_err(OracleError::Core)?;
@@ -400,8 +422,6 @@ fn decisions_match_admission(
         return Ok(());
     }
     let aggregates = NodeAggregates::compute(engine.topology(), &assignment, &traces)?;
-    let candidate = &traces[0];
-    let online = engine.decisions(candidate).map_err(OracleError::Core)?;
     let offline = admission_decisions(
         engine.topology(),
         &assignment,
@@ -410,7 +430,7 @@ fn decisions_match_admission(
         candidate,
     )
     .map_err(OracleError::Core)?;
-    for d in &online {
+    for d in claimed {
         let Some(o) = offline.iter().find(|o| o.rack == d.rack) else {
             report.check(FAMILY, "decisions_match_admission_decisions", false, || {
                 format!("rack {}: no offline admission decision", d.rack)

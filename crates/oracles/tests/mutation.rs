@@ -4,9 +4,9 @@
 //! wrong-leaf commit — and asserts at least one oracle objects; the
 //! production implementations pass the same probes untouched.
 
-use so_core::{CommitPolicy, OnlineConfig, OnlineFleet};
+use so_core::{peak_of_sum_samples, CommitPolicy, LeafDecision, OnlineConfig, OnlineFleet};
 use so_oracles::differential::quantile_matches_reference;
-use so_oracles::online::{check_commit_decision, check_resident_aggregates};
+use so_oracles::online::{check_commit_decision, check_leaf_decisions, check_resident_aggregates};
 use so_oracles::{Fixture, OracleFamily, OracleReport};
 use so_powertrace::PowerTrace;
 use so_powertree::{NodeAggregates, NodeId};
@@ -198,6 +198,94 @@ fn wrong_leaf_commit_is_caught() {
     )
     .unwrap();
     assert!(clean.is_clean(), "{:#?}", clean.violations());
+}
+
+/// A planted bug in the fused probe's ancestor check.
+#[derive(Debug, Clone, Copy)]
+enum AncestorBug {
+    /// Takes the O(1) peak bound as the verdict: an inconclusive bound
+    /// rejects without the exact rescan.
+    SkipsRescan,
+    /// Compares with `<` where admission is `<=`: an ancestor landing
+    /// exactly on its budget turns the arrival away.
+    StrictBudget,
+}
+
+/// The production decisions with the ancestor verdict recomputed by the
+/// buggy check (every other field keeps the fused arithmetic).
+fn buggy_decisions(
+    engine: &OnlineFleet,
+    candidate: &PowerTrace,
+    bug: AncestorBug,
+) -> Vec<LeafDecision> {
+    let candidate_peak = candidate.peak();
+    let topology = engine.topology();
+    let budgets = engine.budgets();
+    let ancestor_fits = |node: NodeId| {
+        let budget = budgets[node.index()];
+        let bound = engine.aggregates().peak(node).unwrap() + candidate_peak;
+        let row = engine.aggregates().trace(node).unwrap().samples();
+        match bug {
+            AncestorBug::SkipsRescan => bound <= budget,
+            AncestorBug::StrictBudget => {
+                bound < budget || peak_of_sum_samples(row, candidate.samples()).unwrap() < budget
+            }
+        }
+    };
+    engine
+        .decisions(candidate)
+        .unwrap()
+        .into_iter()
+        .map(|d| {
+            let power_ok = d.new_peak_watts <= budgets[d.rack.index()]
+                && topology
+                    .ancestors(d.rack)
+                    .unwrap()
+                    .into_iter()
+                    .all(ancestor_fits);
+            LeafDecision {
+                power_ok,
+                fits: d.has_slot && power_ok,
+                ..d
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn ancestor_bound_shortcuts_are_caught() {
+    // The root's budget is pinned to exactly its post-admission peak: the
+    // candidate still fits (`<=`), but the peak bound (root peak plus
+    // candidate peak) overshoots it, so only the exact rescan admits.
+    let (engine, traces) = driven_engine();
+    let candidate = &traces[0];
+    let root = engine.topology().root();
+    let root_trace = engine.aggregates().trace(root).unwrap();
+    let exact = root_trace.try_add(candidate).unwrap().peak();
+    assert!(
+        root_trace.peak() + candidate.peak() > exact,
+        "fixture needs an inconclusive root bound"
+    );
+    let mut budgets = engine.budgets().to_vec();
+    budgets[root.index()] = exact;
+    let engine = engine.with_budgets(budgets).unwrap();
+
+    let production = engine.decisions(candidate).unwrap();
+    assert!(production.iter().any(|d| d.fits), "the candidate must fit");
+    let mut clean = OracleReport::new();
+    check_leaf_decisions(&engine, candidate, &production, &mut clean).unwrap();
+    assert!(clean.is_clean(), "{:#?}", clean.violations());
+
+    for bug in [AncestorBug::SkipsRescan, AncestorBug::StrictBudget] {
+        let claimed = buggy_decisions(&engine, candidate, bug);
+        let mut report = OracleReport::new();
+        check_leaf_decisions(&engine, candidate, &claimed, &mut report).unwrap();
+        assert!(!report.is_clean(), "{bug:?} slipped past the oracle");
+        assert!(report
+            .violations()
+            .iter()
+            .all(|v| v.family == OracleFamily::Online));
+    }
 }
 
 #[test]

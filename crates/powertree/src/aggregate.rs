@@ -33,6 +33,11 @@ use crate::topology::PowerTopology;
 #[derive(Debug, Clone)]
 pub struct NodeAggregates {
     traces: Vec<PowerTrace>,
+    /// `traces[i].peak()`, cached wherever a node trace is assigned, so
+    /// [`NodeAggregates::peak`], [`NodeAggregates::headroom`] and
+    /// [`NodeAggregates::sum_of_peaks`] are O(1) per node instead of a
+    /// rescan of the trace.
+    peaks: Vec<f64>,
 }
 
 impl NodeAggregates {
@@ -106,7 +111,8 @@ impl NodeAggregates {
             level = current.parent();
         }
 
-        Ok(Self { traces })
+        let peaks = traces.iter().map(PowerTrace::peak).collect();
+        Ok(Self { traces, peaks })
     }
 
     /// An all-zero aggregate set on `grid` — the starting state of an
@@ -116,11 +122,18 @@ impl NodeAggregates {
     /// trace to take a grid from), the grid here is explicit, so the zero
     /// traces live on the same grid later refreshes will use.
     pub fn zeros(topology: &PowerTopology, grid: TimeGrid) -> Self {
-        Self {
-            traces: (0..topology.len())
-                .map(|_| PowerTrace::zeros(grid))
-                .collect(),
-        }
+        let traces: Vec<PowerTrace> = (0..topology.len())
+            .map(|_| PowerTrace::zeros(grid))
+            .collect();
+        let peaks = traces.iter().map(PowerTrace::peak).collect();
+        Self { traces, peaks }
+    }
+
+    /// Stores `trace` as the aggregate of `node` and refreshes its cached
+    /// peak — the one place a node trace is replaced after construction.
+    fn set(&mut self, node: NodeId, trace: PowerTrace) {
+        self.peaks[node.index()] = trace.peak();
+        self.traces[node.index()] = trace;
     }
 
     /// Canonically recomputes the aggregate of one rack from its member
@@ -153,7 +166,7 @@ impl NodeAggregates {
         }
         let grid = self.traces[rack.index()].grid();
         let agg = NodeAggregate::from_samples(grid, members)?;
-        self.traces[rack.index()] = agg.to_trace()?;
+        self.set(rack, agg.to_trace()?);
         Ok(())
     }
 
@@ -163,8 +176,9 @@ impl NodeAggregates {
     /// Each affected internal node re-sums its children in ascending id
     /// order — the exact float work of [`NodeAggregates::compute`]'s upward
     /// pass — so the refreshed traces are bit-identical to a from-scratch
-    /// recompute of the same fleet. Untouched subtrees are skipped, which
-    /// is what makes maintenance O(path) instead of O(tree).
+    /// recompute of the same fleet. Only the racks' ancestors are visited
+    /// (collected, deduplicated and ordered deepest level first), which is
+    /// what makes maintenance O(path) instead of O(tree).
     ///
     /// [`refresh_rack`]: NodeAggregates::refresh_rack
     ///
@@ -185,26 +199,21 @@ impl NodeAggregates {
             .get(first.index())
             .ok_or(TreeError::UnknownNode(first))?
             .grid();
-        let mut affected = std::collections::BTreeSet::new();
+        let mut affected = Vec::new();
         for &rack in racks {
-            for ancestor in topology.ancestors(rack)? {
-                affected.insert(ancestor);
+            let mut node = topology.node(rack)?;
+            while let Some(parent) = node.parent() {
+                node = topology.node(parent)?;
+                affected.push((std::cmp::Reverse(node.level().depth()), parent));
             }
         }
-        let mut level = Some(Level::Rpp);
-        while let Some(current) = level {
-            for &id in topology.nodes_at_level(current) {
-                if !affected.contains(&id) {
-                    continue;
-                }
-                let children = topology.node(id)?.children();
-                let agg = NodeAggregate::from_traces(
-                    grid,
-                    children.iter().map(|c| &self.traces[c.index()]),
-                )?;
-                self.traces[id.index()] = agg.to_trace()?;
-            }
-            level = current.parent();
+        affected.sort_unstable();
+        affected.dedup();
+        for (_, id) in affected {
+            let children = topology.node(id)?.children();
+            let agg =
+                NodeAggregate::from_traces(grid, children.iter().map(|c| &self.traces[c.index()]))?;
+            self.set(id, agg.to_trace()?);
         }
         Ok(())
     }
@@ -226,7 +235,10 @@ impl NodeAggregates {
     ///
     /// Returns [`TreeError::UnknownNode`] for ids outside the topology.
     pub fn peak(&self, node: NodeId) -> Result<f64, TreeError> {
-        Ok(self.trace(node)?.peak())
+        self.peaks
+            .get(node.index())
+            .copied()
+            .ok_or(TreeError::UnknownNode(node))
     }
 
     /// The paper's *sum of peaks* fragmentation indicator at one level: the
@@ -235,7 +247,7 @@ impl NodeAggregates {
         topology
             .nodes_at_level(level)
             .iter()
-            .map(|&id| self.traces[id.index()].peak())
+            .map(|&id| self.peaks[id.index()])
             .sum()
     }
 
@@ -247,7 +259,7 @@ impl NodeAggregates {
     /// Returns [`TreeError::UnknownNode`] for ids outside the topology.
     pub fn headroom(&self, topology: &PowerTopology, node: NodeId) -> Result<f64, TreeError> {
         let budget = topology.node(node)?.budget_watts();
-        Ok(budget - self.trace(node)?.peak())
+        Ok(budget - self.peak(node)?)
     }
 
     /// Slack profile of `node` against its configured budget.
@@ -380,6 +392,45 @@ mod tests {
         assert_eq!(inc.peak(t.root()).unwrap(), 100.0);
         let other_rpp = t.nodes_at_level(Level::Rpp)[1];
         assert_eq!(inc.peak(other_rpp).unwrap(), 0.0);
+    }
+
+    /// Every node's cached peak carries the bits of a rescan of its trace.
+    fn assert_peaks_cached(t: &PowerTopology, agg: &NodeAggregates) {
+        for id in t.nodes().iter().map(|n| n.id()) {
+            let cached = agg.peak(id).unwrap();
+            let rescanned = agg.trace(id).unwrap().peak();
+            assert_eq!(cached.to_bits(), rescanned.to_bits(), "node {id}");
+        }
+    }
+
+    #[test]
+    fn cached_peaks_equal_rescanned_peaks() {
+        let t = topo();
+        let traces = traces();
+        let a = Assignment::round_robin(&t, 4).unwrap();
+        assert_peaks_cached(&t, &NodeAggregates::compute(&t, &a, &traces).unwrap());
+
+        let mut inc = NodeAggregates::zeros(&t, traces[0].grid());
+        assert_peaks_cached(&t, &inc);
+        let racks = t.racks();
+        inc.refresh_rack(&t, racks[1], [traces[1].samples(), traces[3].samples()])
+            .unwrap();
+        inc.refresh_rack(&t, racks[2], [traces[0].samples()])
+            .unwrap();
+        assert_peaks_cached(&t, &inc);
+        // Unsorted, duplicated racks: each ancestor is re-summed once.
+        inc.refresh_ancestors(&t, &[racks[2], racks[1], racks[2]])
+            .unwrap();
+        assert_peaks_cached(&t, &inc);
+        assert_eq!(inc.peak(t.root()).unwrap(), 175.0);
+        assert_eq!(inc.sum_of_peaks(&t, Level::Rack), 275.0);
+
+        // Retire both racks to empty: the cache returns to exact zero.
+        inc.refresh_rack(&t, racks[1], std::iter::empty()).unwrap();
+        inc.refresh_rack(&t, racks[2], std::iter::empty()).unwrap();
+        inc.refresh_ancestors(&t, &[racks[1], racks[2]]).unwrap();
+        assert_peaks_cached(&t, &inc);
+        assert_eq!(inc.peak(t.root()).unwrap().to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
