@@ -37,13 +37,12 @@ fn main() -> ExitCode {
 
     // A recording sink is attached when any command asked for exported
     // telemetry, always for `report` (whose output *is* the metrics), and
-    // whenever a live plane exists (`watch`, `--listen`): the plane
-    // serves `/metrics` from the same sink the engine gauges land in.
+    // whenever a plane is served (`--listen`, `serve`): the plane serves
+    // `/metrics` from the same sink the engine gauges land in.
     let wants_sink = flags.metrics_out.is_some()
         || flags.trace_out.is_some()
         || flags.listen.is_some()
         || command == Some("report")
-        || command == Some("watch")
         || command == Some("serve");
     let sink = if wants_sink {
         let sink = Arc::new(RecordingSink::with_wall_clock());
@@ -66,7 +65,6 @@ fn main() -> ExitCode {
         Some("scale") => scale_cmd(&flags),
         Some("plan") => plan_cmd(&flags),
         Some("online") => online_cmd(&flags, sink.as_ref()),
-        Some("watch") => watch_cmd(&flags, sink.as_ref()),
         Some("serve") => serve_cmd(&flags, sink.as_ref()),
         Some("daemon") => daemon_cmd(&flags),
         Some("report") => with_scenario(&args, |scenario, n| {
@@ -140,10 +138,9 @@ fn print_usage() {
     println!("  smoothop online                   online arrival/departure rung: streams batches");
     println!("                                    through the resident engine and compares the");
     println!("                                    churned placement against a one-pass offline");
-    println!("                                    re-placement; writes BENCH_online.json");
-    println!("  smoothop watch                    live observability session: streams one fleet");
-    println!("                                    through the online engine and emits per-batch");
-    println!("                                    JSONL heartbeats, alert transitions, and");
+    println!("                                    re-placement; writes BENCH_online.json and,");
+    println!("                                    with --watch-out, a JSONL stream of per-batch");
+    println!("                                    heartbeats, alert transitions, and");
     println!("                                    flight-recorder dumps");
     println!(
         "  smoothop serve                    smoothopd: resident placement daemon — streaming"
@@ -199,7 +196,7 @@ fn print_usage() {
     println!("                        `online` (default 8; 0 disables repair)");
     println!("  --threads <n>         thread-lane budget for the parallel kernels");
     println!("  --listen <addr>       serve /metrics /health /alerts /flight?n=K over HTTP");
-    println!("                        while `online` or `watch` runs (e.g. 127.0.0.1:9184);");
+    println!("                        while `online` runs (e.g. 127.0.0.1:9184);");
     println!("                        for `serve` this is the daemon's port (default");
     println!("                        127.0.0.1:0, an ephemeral port announced on stdout)");
     println!("  --repair-interval-ms <n>  `serve` only: run one budgeted repair pass every");
@@ -208,14 +205,12 @@ fn print_usage() {
     println!("  --ttl-ms <n>          `serve` only: auto-shutdown after n milliseconds");
     println!("                        (safety net for CI smoke jobs; default: run until");
     println!("                        POST /shutdown)");
-    println!("  --watch-out <path>    buffer the `watch` JSONL stream to a file instead of");
-    println!("                        stdout (for CI smoke runs)");
+    println!("  --watch-out <path>    `online` only: write the JSONL stream (heartbeats,");
+    println!("                        alerts, flight dumps, one summary per point) to a file");
     println!("  --flight-out <path>   dump the full flight-recorder ring as JSONL on exit");
-    println!("                        (`watch`, or `online --listen`)");
+    println!("                        (`online` or `serve`)");
     println!("  --flight-capacity <n> flight-recorder ring capacity (default 4096)");
-    println!("  --journal-cap <n>     compact the online event journal above this length");
-    println!("                        (0 = unbounded, the default)");
-    println!("  --plant-violation     `watch` only: inject one oversized arrival mid-run to");
+    println!("  --plant-violation     `online` only: inject one oversized arrival mid-run to");
     println!("                        force a breaker-budget violation, alert, and dump");
 }
 
@@ -273,14 +268,7 @@ fn scale_cmd(flags: &CliFlags) -> CliResult {
         config.seed = seed;
     }
     if let Some(raw) = &flags.instances {
-        config.instances = raw
-            .split(',')
-            .map(|part| {
-                part.trim()
-                    .parse::<usize>()
-                    .map_err(|_| format!("instance count `{part}` is not a number"))
-            })
-            .collect::<Result<Vec<usize>, String>>()?;
+        config.instances = parse_list(raw, "instance count")?;
     }
     config.quantile_mode = flags.quantile_mode;
     config.workload = flags.scale_workload;
@@ -345,14 +333,7 @@ fn plan_cmd(flags: &CliFlags) -> CliResult {
         config.max_racks = racks;
     }
     if let Some(raw) = &flags.deltas {
-        config.deltas = raw
-            .split(',')
-            .map(|part| {
-                part.trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("delta `{part}` is not a number"))
-            })
-            .collect::<Result<Vec<f64>, String>>()?;
+        config.deltas = parse_list(raw, "delta")?;
     }
     if let Some(raw) = &flags.workloads {
         config.workloads = raw
@@ -416,62 +397,47 @@ fn plan_cmd(flags: &CliFlags) -> CliResult {
     Ok(())
 }
 
-/// Builds the live plane for `watch` / `--listen` sessions over the
-/// process-global recording sink (so engine gauges land on `/metrics`),
-/// and spawns the HTTP listener when an address was requested.
-fn live_plane(
-    flags: &CliFlags,
-    sink: Option<&Arc<RecordingSink>>,
-) -> Result<
-    (
-        Arc<so_telemetry::LivePlane>,
-        Option<so_telemetry::MetricsServer>,
-    ),
-    Box<dyn std::error::Error>,
-> {
+/// Builds the live plane for `online` and `serve` sessions over the
+/// process-global recording sink (so engine gauges land on `/metrics`).
+fn live_plane(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> Arc<so_telemetry::LivePlane> {
     let sink = sink
         .cloned()
         .unwrap_or_else(|| Arc::new(RecordingSink::with_wall_clock()));
-    let plane = Arc::new(so_telemetry::LivePlane::new(
+    Arc::new(so_telemetry::LivePlane::new(
         sink,
         flags.flight_capacity.unwrap_or(4_096),
         so_telemetry::default_online_rules(),
-    ));
-    let server = match &flags.listen {
-        Some(addr) => {
-            let server = so_telemetry::MetricsServer::spawn(addr, plane.clone())
-                .map_err(|e| format!("cannot listen on `{addr}`: {e}"))?;
-            eprintln!(
-                "serving /metrics /health /alerts /flight on http://{}",
-                server.addr()
-            );
-            Some(server)
-        }
-        None => None,
-    };
-    Ok((plane, server))
+    ))
+}
+
+/// Parses a comma-separated flag value; `what` names one element in the
+/// error for a part that does not parse.
+fn parse_list<T: std::str::FromStr>(raw: &str, what: &str) -> Result<Vec<T>, String> {
+    raw.split(',')
+        .map(|part| {
+            let part = part.trim();
+            part.parse()
+                .map_err(|_| format!("{what} `{part}` is not a number"))
+        })
+        .collect()
 }
 
 /// `smoothop online [--instances n1,n2,...] [--seed s] [--out path]
-/// [--listen addr]`: run the online arrival/departure rung and write
-/// `BENCH_online.json`, optionally serving the observability plane over
-/// HTTP while the rung runs.
+/// [--listen addr] [--watch-out path] [--flight-out path]
+/// [--plant-violation]`: run the online arrival/departure rung and write
+/// `BENCH_online.json`. Any of the live flags attaches an observability
+/// plane: `--listen` serves it over HTTP while the rung runs,
+/// `--watch-out` writes the rung's JSONL stream, and `--flight-out`
+/// dumps its flight ring on exit.
 fn online_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult {
-    use smoothoperator::scale::{run_online_scale_with_plane, OnlineScaleConfig};
+    use smoothoperator::scale::{run_online_scale, OnlineScaleConfig};
 
     let mut config = OnlineScaleConfig::default();
     if let Some(seed) = flags.seed {
         config.seed = seed;
     }
     if let Some(raw) = &flags.instances {
-        config.instances = raw
-            .split(',')
-            .map(|part| {
-                part.trim()
-                    .parse::<usize>()
-                    .map_err(|_| format!("instance count `{part}` is not a number"))
-            })
-            .collect::<Result<Vec<usize>, String>>()?;
+        config.instances = parse_list(raw, "instance count")?;
     }
     if let Some(batches) = flags.batches {
         config.batches = batches;
@@ -482,12 +448,21 @@ fn online_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult 
     if let Some(repair) = flags.repair {
         config.repair_budget = repair;
     }
+    config.plant_violation = flags.plant_violation;
     let path = flags.out.as_deref().unwrap_or("BENCH_online.json");
-    let (plane, server) = if flags.listen.is_some() {
-        let (plane, server) = live_plane(flags, sink)?;
-        (Some(plane), server)
-    } else {
-        (None, None)
+    let live = flags.listen.is_some() || flags.watch_out.is_some() || flags.flight_out.is_some();
+    let plane = live.then(|| live_plane(flags, sink));
+    let server = match (&flags.listen, &plane) {
+        (Some(addr), Some(plane)) => {
+            let server = so_telemetry::MetricsServer::spawn(addr, plane.clone())
+                .map_err(|e| format!("cannot listen on `{addr}`: {e}"))?;
+            eprintln!(
+                "serving /metrics /health /alerts /flight on http://{}",
+                server.addr()
+            );
+            Some(server)
+        }
+        _ => None,
     };
 
     println!(
@@ -513,7 +488,13 @@ fn online_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult 
         "off-hdr W",
         "frag"
     );
-    let report = run_online_scale_with_plane(&config, plane.clone());
+    let mut stream = String::new();
+    let report = run_online_scale(&config, plane.clone(), |line| {
+        if flags.watch_out.is_some() {
+            stream.push_str(line);
+            stream.push('\n');
+        }
+    });
     if let Some(server) = server {
         server.shutdown();
     }
@@ -535,90 +516,19 @@ fn online_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult 
             p.alerts_fired,
         );
     }
-    write_flight(flags, plane.as_ref())?;
+    if let Some(path) = &flags.watch_out {
+        std::fs::write(path, &stream).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        eprintln!(
+            "wrote online JSONL stream to {path} ({} bytes)",
+            stream.len()
+        );
+    }
+    if let Some(plane) = &plane {
+        write_flight(flags, plane)?;
+    }
     let json = report.to_json();
     std::fs::write(path, &json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
     println!("wrote {path} ({} bytes)", json.len());
-    Ok(())
-}
-
-/// `smoothop watch [--instances n] [--batches b] [--listen addr]
-/// [--watch-out path] [--flight-out path] [--plant-violation]`: run one
-/// live watch session over the online engine, emitting per-batch JSONL
-/// heartbeats plus alert and flight-dump lines.
-fn watch_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult {
-    use smoothoperator::watch::{run_watch, WatchConfig};
-
-    let mut config = WatchConfig::default();
-    if let Some(seed) = flags.seed {
-        config.seed = seed;
-    }
-    if let Some(raw) = &flags.instances {
-        // Watch streams one fleet, not a ladder: take the first count.
-        let first = raw.split(',').next().unwrap_or(raw).trim();
-        config.instances = first
-            .parse()
-            .map_err(|_| format!("instance count `{first}` is not a number"))?;
-    }
-    if let Some(batches) = flags.batches {
-        config.batches = batches;
-    }
-    if let Some(probes) = flags.probes {
-        config.sample_probes = probes;
-    }
-    if let Some(repair) = flags.repair {
-        config.repair_budget = repair;
-    }
-    if let Some(cap) = flags.flight_capacity {
-        config.flight_capacity = cap;
-    }
-    if let Some(cap) = flags.journal_cap {
-        config.journal_cap = cap;
-    }
-    config.plant_violation = flags.plant_violation;
-
-    let (plane, server) = live_plane(flags, sink)?;
-    eprintln!(
-        "watch — {} instances over {} batches, seed {}, {} thread lane(s){}",
-        config.instances,
-        config.batches,
-        config.seed,
-        so_parallel::effective_lanes(),
-        if config.plant_violation {
-            ", planting one breaker-budget violation"
-        } else {
-            ""
-        },
-    );
-    let mut buffered = String::new();
-    let to_file = flags.watch_out.is_some();
-    let outcome = run_watch(&config, plane.clone(), |line| {
-        if to_file {
-            buffered.push_str(line);
-            buffered.push('\n');
-        } else {
-            println!("{line}");
-        }
-    });
-    if let Some(server) = server {
-        server.shutdown();
-    }
-    let outcome = outcome?;
-    if let Some(path) = &flags.watch_out {
-        std::fs::write(path, &buffered).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        eprintln!("wrote watch JSONL to {path} ({} bytes)", buffered.len());
-    }
-    write_flight(flags, Some(&plane))?;
-    eprintln!(
-        "watch done — {} committed, {} rejected, {} live, {} alert(s) fired, {} resolved, {} breaker violation(s), {} flight dump(s)",
-        outcome.committed,
-        outcome.rejected,
-        outcome.live_instances,
-        outcome.alerts_fired,
-        outcome.alerts_resolved,
-        outcome.breaker_violations,
-        outcome.dumps_total,
-    );
     Ok(())
 }
 
@@ -638,10 +548,8 @@ fn serve_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult {
     }
     if let Some(raw) = &flags.instances {
         // Serve hosts one resident fleet, not a ladder: take the first.
-        let first = raw.split(',').next().unwrap_or(raw).trim();
-        config.instances = first
-            .parse()
-            .map_err(|_| format!("instance count `{first}` is not a number"))?;
+        let first = raw.split(',').next().unwrap_or(raw);
+        config.instances = parse_list(first, "instance count")?[0];
     }
     if let Some(probes) = flags.probes {
         config.sample_probes = probes;
@@ -654,14 +562,7 @@ fn serve_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult {
     }
     config.ttl_ms = flags.ttl_ms;
 
-    let sink = sink
-        .cloned()
-        .unwrap_or_else(|| Arc::new(RecordingSink::with_wall_clock()));
-    let plane = Arc::new(so_telemetry::LivePlane::new(
-        sink,
-        flags.flight_capacity.unwrap_or(4_096),
-        so_telemetry::default_online_rules(),
-    ));
+    let plane = live_plane(flags, sink);
     eprintln!(
         "smoothopd — {} instances resident, window {}, repair budget {} every {}ms, seed {}",
         config.instances,
@@ -673,7 +574,7 @@ fn serve_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult {
     // The announce line goes to stdout so scripts can parse the bound
     // (possibly ephemeral) address without scraping stderr.
     let outcome = run_serve(&config, plane.clone(), |line| println!("{line}"))?;
-    write_flight(flags, Some(&plane))?;
+    write_flight(flags, &plane)?;
     eprintln!(
         "smoothopd done — {} batches / {} samples ingested ({} dropped), {} live, {} committed, {} rejected, {} retired, {} repair pass(es)",
         outcome.batches_ingested,
@@ -698,14 +599,7 @@ fn daemon_cmd(flags: &CliFlags) -> CliResult {
         config.seed = seed;
     }
     if let Some(raw) = &flags.instances {
-        config.instances = raw
-            .split(',')
-            .map(|part| {
-                part.trim()
-                    .parse::<usize>()
-                    .map_err(|_| format!("instance count `{part}` is not a number"))
-            })
-            .collect::<Result<Vec<usize>, String>>()?;
+        config.instances = parse_list(raw, "instance count")?;
     }
     if let Some(sweeps) = flags.batches {
         // The daemon rung's unit of work is one full fleet sweep.
@@ -759,12 +653,9 @@ fn daemon_cmd(flags: &CliFlags) -> CliResult {
 
 /// Writes the plane's full flight ring as JSONL when `--flight-out` was
 /// requested.
-fn write_flight(flags: &CliFlags, plane: Option<&Arc<so_telemetry::LivePlane>>) -> CliResult {
+fn write_flight(flags: &CliFlags, plane: &so_telemetry::LivePlane) -> CliResult {
     let Some(path) = &flags.flight_out else {
         return Ok(());
-    };
-    let Some(plane) = plane else {
-        return Err("--flight-out needs a live plane (use `watch` or `online --listen`)".into());
     };
     let jsonl = plane.flight_jsonl(0);
     std::fs::write(path, &jsonl).map_err(|e| format!("cannot write `{path}`: {e}"))?;
@@ -820,7 +711,6 @@ struct CliFlags {
     watch_out: Option<String>,
     flight_out: Option<String>,
     flight_capacity: Option<usize>,
-    journal_cap: Option<usize>,
     plant_violation: bool,
     repair_interval_ms: Option<u64>,
     ttl_ms: Option<u64>,
@@ -853,7 +743,6 @@ fn split_flags(args: Vec<String>) -> Result<(Vec<String>, CliFlags), String> {
         watch_out: None,
         flight_out: None,
         flight_capacity: None,
-        journal_cap: None,
         plant_violation: false,
         repair_interval_ms: None,
         ttl_ms: None,
@@ -951,11 +840,6 @@ fn split_flags(args: Vec<String>) -> Result<(Vec<String>, CliFlags), String> {
                 return Err("--flight-capacity must be at least 1".to_string());
             }
             flags.flight_capacity = Some(cap);
-        } else if let Some(raw) = value_of("--journal-cap", &arg, &mut iter)? {
-            let cap: usize = raw
-                .parse()
-                .map_err(|_| format!("journal cap `{raw}` is not a number"))?;
-            flags.journal_cap = Some(cap);
         } else if arg == "--plant-violation" {
             flags.plant_violation = true;
         } else if let Some(raw) = value_of("--repair-interval-ms", &arg, &mut iter)? {

@@ -96,17 +96,15 @@ pub use so_reshape as reshape;
 pub use so_oracles as oracles;
 
 /// Million-instance scale tier: columnar end-to-end ladder and the
-/// `BENCH_scale.json` emitter.
+/// `BENCH_scale.json` emitter, plus the online-engine rung behind
+/// `smoothop online` — `BENCH_online.json` and the live JSONL stream of
+/// batch heartbeats, alert transitions, and flight dumps.
 pub mod scale;
 
 /// Capacity-planning sweep behind `smoothop plan`: racks-fit under an
 /// MSB budget, StatProf vs SmoothOperator, and the `BENCH_plan.json`
 /// emitter.
 pub mod plan;
-
-/// Live observability sessions: the `smoothop watch` runner over the
-/// online engine's flight recorder, alert engine, and scrape surface.
-pub mod watch;
 
 /// `smoothopd`: the resident placement daemon behind `smoothop serve` —
 /// streaming ring-buffer ingest, live queries, background repair — and

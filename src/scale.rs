@@ -39,6 +39,31 @@
 //! runs the 100k rung and gates per-phase throughput against the
 //! committed baseline (`scripts/perf_gate.sh`); `tests/scale_golden.rs`
 //! pins the JSON schema and the determinism of the numeric fields.
+//!
+//! The **online rung** ([`crate::scale::run_online_scale`],
+//! `BENCH_online.json`) streams churning arrival batches through the
+//! resident [`so_core::OnlineFleet`] engine with an observability plane
+//! attached, and hands one JSON object per line to the caller's `emit`
+//! callback (`smoothop online --watch-out` writes them to a file):
+//!
+//! * `{"kind":"batch","batch":B,"arrivals":..,"committed":..,
+//!   "rejected":..,"retired":..,"live":..,"root_power_watts":..,
+//!   "min_rack_headroom_watts":..,"alerts_active":..,
+//!   "peak_rss_bytes":N|null}` — one heartbeat per event batch;
+//!   `peak_rss_bytes` is `null` wherever `/proc` is unavailable, never
+//!   a fabricated zero.
+//! * `{"kind":"alert","rule":"...","state":"fired"|"resolved",
+//!   "eval":N,"value":V}` — one per alert transition, in evaluation
+//!   order (deterministic at any thread count).
+//! * `{"kind":"flight_dump","ordinal":N,"reason":"...","records":N}` —
+//!   one per postmortem dump the plane captured during the batch.
+//! * `{"kind":"summary",...}` — one per ladder point, after its last
+//!   batch.
+//!
+//! With [`crate::scale::OnlineScaleConfig::plant_violation`] each point
+//! injects one arrival over every rack budget halfway through its
+//! stream: exactly one breaker-budget `AlertFired`, a flight dump, and a
+//! later `AlertResolved` once the stream is clean again.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -509,6 +534,9 @@ pub struct OnlineScaleConfig {
     pub sample_probes: usize,
     /// Remap swaps allowed per between-batch repair pass (0 disables).
     pub repair_budget: usize,
+    /// Inject one over-budget arrival halfway through each point's stream
+    /// to exercise the breaker-budget anomaly path end to end.
+    pub plant_violation: bool,
 }
 
 impl Default for OnlineScaleConfig {
@@ -521,6 +549,7 @@ impl Default for OnlineScaleConfig {
             batches: 8,
             sample_probes: 64,
             repair_budget: 8,
+            plant_violation: false,
         }
     }
 }
@@ -595,32 +624,26 @@ pub struct OnlineScaleReport {
 /// into `checksum`).
 pub const ONLINE_SCALE_SCHEMA_VERSION: u32 = 2;
 
-/// Runs the online-engine rung ladder described by `config`.
+/// Runs the online-engine rung ladder described by `config`, streaming
+/// each JSONL line (see the module docs) to `emit` as it is produced.
+///
+/// With `plane`, every point reports into that externally owned
+/// observability plane (what `smoothop online --listen` serves HTTP
+/// from), so alert state and flight dumps carry across points. Without
+/// one, each point gets its own headless virtual-clock plane, so the
+/// reported `alerts_fired`/`alerts_resolved` counts are a pure function
+/// of the config. `emit` never feeds back into the engine: the report is
+/// the same whatever it does.
 ///
 /// # Errors
 ///
 /// Returns an error when `config` is degenerate (no instance counts, zero
-/// samples/batches/probes) or an engine operation fails.
+/// samples/batches/probes), an engine operation fails, or a planted
+/// over-budget arrival is admitted.
 pub fn run_online_scale(
     config: &OnlineScaleConfig,
-) -> Result<OnlineScaleReport, Box<dyn std::error::Error>> {
-    run_online_scale_with_plane(config, None)
-}
-
-/// [`run_online_scale`] with an externally owned observability plane
-/// (what `smoothop online --listen` serves HTTP from while the ladder
-/// runs). Without one, each point gets its own headless virtual-clock
-/// plane, so the reported `alerts_fired`/`alerts_resolved` counts are a
-/// pure function of the config; a shared external plane carries alert
-/// state across points, so its counts reflect the whole session instead.
-///
-/// # Errors
-///
-/// Returns an error when `config` is degenerate (no instance counts, zero
-/// samples/batches/probes) or an engine operation fails.
-pub fn run_online_scale_with_plane(
-    config: &OnlineScaleConfig,
     plane: Option<Arc<LivePlane>>,
+    mut emit: impl FnMut(&str),
 ) -> Result<OnlineScaleReport, Box<dyn std::error::Error>> {
     if config.instances.is_empty() {
         return Err("online ladder needs at least one instance count".into());
@@ -633,7 +656,7 @@ pub fn run_online_scale_with_plane(
     }
     let mut points = Vec::with_capacity(config.instances.len());
     for &n in &config.instances {
-        points.push(run_online_point(config, n, plane.clone())?);
+        points.push(run_online_point(config, n, plane.clone(), &mut emit)?);
     }
     Ok(OnlineScaleReport {
         config: config.clone(),
@@ -662,6 +685,7 @@ fn run_online_point(
     config: &OnlineScaleConfig,
     n: usize,
     plane: Option<Arc<LivePlane>>,
+    emit: &mut impl FnMut(&str),
 ) -> Result<OnlineScalePoint, Box<dyn std::error::Error>> {
     let grid = TimeGrid::new(config.step_minutes, config.samples_per_trace);
     let topology = online_topology(n)?;
@@ -688,13 +712,25 @@ fn run_online_point(
             default_online_rules(),
         ))
     });
-    engine.attach_plane(plane);
+    engine.attach_plane(plane.clone());
+    // A 40 %-of-rack-budget reference job: with it set, the engine keeps
+    // the per-level stranded/fragmentation accounting fresh on every
+    // event, so the fragmentation gauges and alert stream per batch.
+    let reference = PowerTrace::new(
+        vec![0.4 * ONLINE_RACK_BUDGET_WATTS; config.samples_per_trace],
+        config.step_minutes,
+    )?;
+    engine.set_fragmentation_reference(Some(&reference))?;
+    let rule_names: Vec<String> = default_online_rules().into_iter().map(|r| r.name).collect();
     let mut alerts_fired = 0u64;
     let mut alerts_resolved = 0u64;
+    let mut dumps_seen = plane.dumps_total();
+    let mut line = String::new();
 
     let started = Instant::now();
     let per_batch = n.div_ceil(config.batches).max(1);
     let retire_per_batch = per_batch / 5;
+    let plant_at = config.batches / 2;
     let mut arrive_ms = 0.0f64;
     let mut retire_ms = 0.0f64;
     let mut repair_ms = 0.0f64;
@@ -740,6 +776,20 @@ fn run_online_point(
         }
         arrive_ms += ms_since(t0);
 
+        let mut arrivals = batch.len();
+        if config.plant_violation && b == plant_at {
+            // Over every rack budget while churn has left slots free:
+            // the canonical breaker-budget violation, planted once.
+            let hot = PowerTrace::new(
+                vec![ONLINE_RACK_BUDGET_WATTS * 3.0; config.samples_per_trace],
+                config.step_minutes,
+            )?;
+            arrivals += 1;
+            if engine.arrive(&hot)?.is_some() {
+                return Err("the planted over-budget arrival was admitted".into());
+            }
+        }
+
         let t0 = Instant::now();
         if config.repair_budget > 0 {
             let report = engine.repair()?;
@@ -749,28 +799,65 @@ fn run_online_point(
 
         // Observability heartbeat: one alert evaluation per batch, from
         // the serial point — deterministic at any thread count.
-        for transition in engine.observe_batch()? {
-            if transition.fired {
+        for t in engine.observe_batch()? {
+            if t.fired {
                 alerts_fired += 1;
             } else {
                 alerts_resolved += 1;
             }
+            line.clear();
+            let _ = write!(
+                line,
+                "{{\"kind\":\"alert\",\"rule\":\"{}\",\"state\":\"{}\",\"eval\":{},\"value\":{}}}",
+                rule_names.get(t.rule).map_or("?", String::as_str),
+                if t.fired { "fired" } else { "resolved" },
+                t.eval,
+                fmt_f64(t.value),
+            );
+            emit(&line);
         }
+        // Dumps are cloned only when the plane captured new ones.
+        if plane.dumps_total() > dumps_seen {
+            for dump in plane.dumps() {
+                if dump.ordinal < dumps_seen {
+                    continue;
+                }
+                line.clear();
+                let _ = write!(
+                    line,
+                    "{{\"kind\":\"flight_dump\",\"ordinal\":{},\"reason\":\"{}\",\"records\":{}}}",
+                    dump.ordinal, dump.reason, dump.records,
+                );
+                emit(&line);
+            }
+            dumps_seen = plane.dumps_total();
+        }
+
+        line.clear();
+        let _ = write!(
+            line,
+            "{{\"kind\":\"batch\",\"batch\":{},\"arrivals\":{},\"committed\":{},\"rejected\":{},\"retired\":{},\"live\":{},\"root_power_watts\":{},\"min_rack_headroom_watts\":{},\"alerts_active\":{},\"peak_rss_bytes\":{}}}",
+            b,
+            arrivals,
+            engine.committed(),
+            engine.rejected(),
+            engine.retired(),
+            engine.live_len(),
+            fmt_f64(engine.aggregates().peak(engine.topology().root())?),
+            fmt_f64(min_rack_headroom(&engine)?),
+            plane.active_alerts().len(),
+            peak_rss_bytes().map_or_else(|| "null".to_string(), |bytes| bytes.to_string()),
+        );
+        emit(&line);
     }
 
     // Quality of the churned placement.
     let online_mean_asynchrony = engine.mean_rack_asynchrony().unwrap_or(0.0);
     let online_min_rack_headroom_watts = min_rack_headroom(&engine)?;
-    let reference = PowerTrace::new(
-        vec![0.4 * ONLINE_RACK_BUDGET_WATTS; config.samples_per_trace],
-        config.step_minutes,
-    )?;
     let rack_fragmentation_ratio = engine
-        .fragmentation(&reference)?
-        .iter()
-        .find(|f| f.level == Level::Rack)
-        .map(|f| f.ratio)
-        .unwrap_or(0.0);
+        .fragmentation_cached()?
+        .and_then(|levels| levels.into_iter().find(|f| f.level == Level::Rack))
+        .map_or(0.0, |f| f.ratio);
 
     // Offline comparator: the same final fleet re-placed from scratch in
     // one pass by a fresh engine — what the placement would look like
@@ -799,6 +886,23 @@ fn run_online_point(
         alerts_fired as f64,
         alerts_resolved as f64,
     ]);
+    line.clear();
+    let _ = write!(
+        line,
+        "{{\"kind\":\"summary\",\"batches\":{},\"committed\":{},\"rejected\":{},\"retired\":{},\"live\":{},\"alerts_fired\":{},\"alerts_resolved\":{},\"breaker_violations\":{},\"flight_dumps\":{},\"journal_compactions\":{},\"total_ms\":{}}}",
+        config.batches,
+        engine.committed(),
+        engine.rejected(),
+        engine.retired(),
+        engine.live_len(),
+        alerts_fired,
+        alerts_resolved,
+        plane.breaker_violations(),
+        plane.dumps_total(),
+        engine.journal_compactions(),
+        fmt_f64(total_ms),
+    );
+    emit(&line);
     Ok(OnlineScalePoint {
         instances: n,
         threads: so_parallel::effective_lanes(),
@@ -832,6 +936,16 @@ pub(crate) fn min_rack_headroom(engine: &OnlineFleet) -> Result<f64, so_core::Co
         min = min.min(engine.headroom(rack)?);
     }
     Ok(min)
+}
+
+/// Shortest round-trip decimal of a finite float (Rust's `Display` is
+/// exact), `null` for non-finite — keeps every emitted line strict JSON.
+pub(crate) fn fmt_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
 }
 
 impl OnlineScaleReport {
@@ -1264,24 +1378,79 @@ mod tests {
             batches: 4,
             sample_probes: 3,
             repair_budget: 2,
+            plant_violation: false,
         }
+    }
+
+    /// Bits of [`tiny_online_config`]'s two point checksums. Any change
+    /// here is a behavior change of the online rung, not noise.
+    const TINY_ONLINE_CHECKSUM_BITS: [u64; 2] = [0x40b5_51b6_b6a6_77d5, 0x40ac_77d7_a677_26ee];
+
+    fn run_headless(config: &OnlineScaleConfig) -> OnlineScaleReport {
+        run_online_scale(config, None, |_| {}).unwrap()
+    }
+
+    /// Runs `config` against one fresh virtual-clock plane, collecting
+    /// every emitted line.
+    fn run_lines(config: &OnlineScaleConfig) -> (Arc<LivePlane>, OnlineScaleReport, Vec<String>) {
+        let plane = Arc::new(LivePlane::new(
+            Arc::new(RecordingSink::with_virtual_clock()),
+            128,
+            default_online_rules(),
+        ));
+        let mut lines = Vec::new();
+        let report =
+            run_online_scale(config, Some(plane.clone()), |l| lines.push(l.to_string())).unwrap();
+        (plane, report, lines)
+    }
+
+    /// Every machine-independent field of a point, as bits.
+    fn deterministic_fields(p: &OnlineScalePoint) -> [u64; 13] {
+        [
+            p.live_instances as u64,
+            p.committed,
+            p.rejected,
+            p.retired,
+            p.repair_moves as u64,
+            p.online_mean_asynchrony.to_bits(),
+            p.offline_mean_asynchrony.to_bits(),
+            p.online_min_rack_headroom_watts.to_bits(),
+            p.offline_min_rack_headroom_watts.to_bits(),
+            p.rack_fragmentation_ratio.to_bits(),
+            p.alerts_fired,
+            p.alerts_resolved,
+            p.checksum.to_bits(),
+        ]
     }
 
     #[test]
     fn online_rung_is_deterministic() {
         let config = tiny_online_config();
-        let a = run_online_scale(&config).unwrap();
-        let b = run_online_scale(&config).unwrap();
+        let a = run_headless(&config);
+        let b = run_headless(&config);
         for (x, y) in a.points.iter().zip(&b.points) {
-            assert_eq!(x.checksum.to_bits(), y.checksum.to_bits());
-            assert_eq!(x.committed, y.committed);
-            assert_eq!(x.live_instances, y.live_instances);
+            assert_eq!(deterministic_fields(x), deterministic_fields(y));
+        }
+        let bits: Vec<u64> = a.points.iter().map(|p| p.checksum.to_bits()).collect();
+        assert_eq!(bits, TINY_ONLINE_CHECKSUM_BITS, "{:?}", a.points);
+    }
+
+    #[test]
+    fn emit_never_changes_the_report() {
+        let config = tiny_online_config();
+        let silent = run_headless(&config);
+        let mut lines = Vec::new();
+        let collected = run_online_scale(&config, None, |l| lines.push(l.to_string())).unwrap();
+        assert!(!lines.is_empty());
+        assert_eq!(silent.config, collected.config);
+        for (x, y) in silent.points.iter().zip(&collected.points) {
+            assert_eq!(deterministic_fields(x), deterministic_fields(y));
         }
     }
 
     #[test]
     fn online_rung_metrics_are_sane() {
-        let report = run_online_scale(&tiny_online_config()).unwrap();
+        let report = run_headless(&tiny_online_config());
         for p in &report.points {
             assert!(p.committed > 0, "stream must commit instances");
             assert_eq!(
@@ -1299,20 +1468,39 @@ mod tests {
 
     #[test]
     fn online_rung_rejects_degenerate_configs() {
-        let mut c = tiny_online_config();
-        c.instances.clear();
-        assert!(run_online_scale(&c).is_err());
-        let mut c = tiny_online_config();
-        c.batches = 0;
-        assert!(run_online_scale(&c).is_err());
-        let mut c = tiny_online_config();
-        c.instances = vec![0];
-        assert!(run_online_scale(&c).is_err());
+        let tiny = tiny_online_config;
+        for broken in [
+            OnlineScaleConfig {
+                instances: Vec::new(),
+                ..tiny()
+            },
+            OnlineScaleConfig {
+                instances: vec![0],
+                ..tiny()
+            },
+            OnlineScaleConfig {
+                batches: 0,
+                ..tiny()
+            },
+            OnlineScaleConfig {
+                sample_probes: 0,
+                ..tiny()
+            },
+            OnlineScaleConfig {
+                samples_per_trace: 0,
+                ..tiny()
+            },
+        ] {
+            assert!(
+                run_online_scale(&broken, None, |_| {}).is_err(),
+                "{broken:?}"
+            );
+        }
     }
 
     #[test]
     fn online_report_json_carries_every_point() {
-        let report = run_online_scale(&tiny_online_config()).unwrap();
+        let report = run_headless(&tiny_online_config());
         let json = report.to_json();
         assert!(json.contains("\"benchmark\": \"online_scale\""));
         assert!(json.contains("\"schema_version\": 2"));
@@ -1330,25 +1518,109 @@ mod tests {
     #[test]
     fn online_rung_attaches_a_headless_plane() {
         let config = tiny_online_config();
-        let plane = Arc::new(LivePlane::new(
-            Arc::new(RecordingSink::with_virtual_clock()),
-            64,
-            default_online_rules(),
-        ));
-        let with_plane = run_online_scale_with_plane(&config, Some(plane.clone())).unwrap();
+        let (plane, _, _) = run_lines(&config);
         // One heartbeat per batch per point flowed through the shared
         // plane, and the engine mirrored its journal into the flight ring.
         let (held, total, _) = plane.flight_counts();
         assert!(held > 0 && total > 0, "flight ring saw journal events");
         // Deterministic alert counts: the headless per-point path yields
         // the same bits as a fresh run.
-        let headless = run_online_scale(&config).unwrap();
-        let again = run_online_scale(&config).unwrap();
+        let headless = run_headless(&config);
+        let again = run_headless(&config);
         for (x, y) in headless.points.iter().zip(&again.points) {
             assert_eq!(x.alerts_fired, y.alerts_fired);
             assert_eq!(x.alerts_resolved, y.alerts_resolved);
             assert_eq!(x.checksum.to_bits(), y.checksum.to_bits());
         }
-        let _ = with_plane;
+    }
+
+    #[test]
+    fn online_rung_emits_batch_heartbeats_and_a_summary() {
+        let config = tiny_online_config();
+        let (_, report, lines) = run_lines(&config);
+        let count = |prefix: &str| lines.iter().filter(|l| l.starts_with(prefix)).count();
+        let points = config.instances.len();
+        assert_eq!(count("{\"kind\":\"batch\""), config.batches * points);
+        assert_eq!(count("{\"kind\":\"summary\""), points);
+        let last = lines.last().unwrap();
+        assert!(last.starts_with("{\"kind\":\"summary\""));
+        let committed = report.points.last().unwrap().committed;
+        assert!(committed > 0);
+        assert!(last.contains(&format!("\"committed\":{committed}")));
+        // peak_rss_bytes keeps the Option contract: a number on Linux,
+        // the JSON null literal elsewhere — never a fabricated zero.
+        let heartbeat = &lines[0];
+        match peak_rss_bytes() {
+            Some(_) => assert!(!heartbeat.contains("\"peak_rss_bytes\":null")),
+            None => assert!(heartbeat.contains("\"peak_rss_bytes\":null")),
+        }
+    }
+
+    fn is_breaker_line(line: &str, state: &str) -> bool {
+        line.contains("\"kind\":\"alert\"")
+            && line.contains("\"rule\":\"breaker_budget_violation\"")
+            && line.contains(&format!("\"state\":\"{state}\""))
+    }
+
+    #[test]
+    fn planted_violation_fires_once_dumps_and_resolves() {
+        let config = OnlineScaleConfig {
+            instances: vec![240],
+            plant_violation: true,
+            ..tiny_online_config()
+        };
+        let (plane, report, lines) = run_lines(&config);
+        assert_eq!(plane.breaker_violations(), 1);
+        // The planted arrival is rejected, never committed.
+        assert_eq!(report.points[0].rejected, 1);
+        let fired = lines.iter().filter(|l| is_breaker_line(l, "fired")).count();
+        assert_eq!(fired, 1, "exactly one breaker fire: {lines:#?}");
+        assert!(
+            lines.iter().any(|l| l.contains("\"kind\":\"flight_dump\"")
+                && l.contains("breaker-budget violation")),
+            "violation captures a postmortem dump"
+        );
+        // The stream goes clean afterwards, so the alert resolves.
+        assert!(lines.iter().any(|l| is_breaker_line(l, "resolved")));
+    }
+
+    #[test]
+    fn degenerate_planted_configs_are_rejected() {
+        let planted = || OnlineScaleConfig {
+            instances: vec![240],
+            plant_violation: true,
+            ..tiny_online_config()
+        };
+        for broken in [
+            OnlineScaleConfig {
+                instances: vec![0],
+                ..planted()
+            },
+            OnlineScaleConfig {
+                batches: 0,
+                ..planted()
+            },
+            OnlineScaleConfig {
+                sample_probes: 0,
+                ..planted()
+            },
+        ] {
+            let plane = Arc::new(LivePlane::new(
+                Arc::new(RecordingSink::with_virtual_clock()),
+                128,
+                default_online_rules(),
+            ));
+            let mut lines = Vec::new();
+            let result = run_online_scale(&broken, Some(plane), |l| lines.push(l.to_string()));
+            assert!(result.is_err(), "{broken:?}");
+            assert!(lines.is_empty(), "rejected before any line: {lines:#?}");
+        }
+    }
+
+    #[test]
+    fn clean_run_plants_nothing() {
+        let (plane, _, lines) = run_lines(&tiny_online_config());
+        assert_eq!(plane.breaker_violations(), 0);
+        assert!(!lines.iter().any(|l| is_breaker_line(l, "fired")));
     }
 }

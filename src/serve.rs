@@ -64,8 +64,8 @@ use so_powertree::NodeId;
 use so_telemetry::{route_plane, HttpRequest, HttpResponse, HttpServer, LivePlane};
 
 use crate::scale::{
-    fold_digest, min_rack_headroom, mix, ms_since, online_topology, peak_rss_bytes, RowWave,
-    SynthBasis,
+    fmt_f64, fold_digest, min_rack_headroom, mix, ms_since, online_topology, peak_rss_bytes,
+    RowWave, SynthBasis,
 };
 
 /// Parameters of one `smoothop serve` session.
@@ -647,16 +647,6 @@ fn repair_post(daemon: &mut DaemonFleet) -> HttpResponse {
             2 * report.swaps.len()
         )),
         Err(e) => HttpResponse::error(500, format!("repair failed: {e}")),
-    }
-}
-
-/// Shortest round-trip decimal of a finite float (Rust's `Display` is
-/// exact), `null` for non-finite — strict-JSON safe.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 

@@ -2,8 +2,9 @@
 //! breaker-budget anomaly path (exactly one fire, a postmortem flight
 //! dump that bit-matches the engine journal's suffix), bit-identical
 //! alert streams at any thread count, the HTTP scrape surface served
-//! while a live session runs, and the Prometheus/report renderers
-//! carrying the online engine's labeled gauges.
+//! while the online rung streams (`smoothop online --listen`), and the
+//! Prometheus/report renderers carrying the online engine's labeled
+//! gauges.
 //!
 //! Lives in its own integration-test binary because two process-global
 //! switches are exercised here — [`so_parallel::set_thread_limit`] and
@@ -14,7 +15,7 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 
-use smoothoperator::watch::{run_watch, watch_plane, WatchConfig, WatchOutcome};
+use smoothoperator::scale::{run_online_scale, OnlineScaleConfig};
 use so_core::{CommitPolicy, EventRecord, OnlineConfig, OnlineFleet};
 use so_powertrace::{PowerTrace, TimeGrid};
 use so_telemetry::{
@@ -25,40 +26,58 @@ use so_telemetry::{
 /// sink are process-global.
 static GLOBAL_STATE_LOCK: Mutex<()> = Mutex::new(());
 
-fn small_watch() -> WatchConfig {
-    WatchConfig {
-        instances: 480,
+fn small_stream() -> OnlineScaleConfig {
+    OnlineScaleConfig {
+        instances: vec![480],
         batches: 6,
         samples_per_trace: 24,
         step_minutes: 60,
         seed: 7,
         sample_probes: 4,
         repair_budget: 2,
-        flight_capacity: 256,
-        journal_cap: 0,
         plant_violation: true,
     }
 }
 
-/// Runs one watch session on a virtual-clock plane, returning the outcome
+/// The plane a live session attaches: `sink`, a 256-record flight ring,
+/// and the default online alert rules.
+fn stream_plane(sink: Arc<RecordingSink>) -> Arc<LivePlane> {
+    Arc::new(LivePlane::new(sink, 256, default_online_rules()))
+}
+
+/// Runs one stream on a virtual-clock plane, returning the run's
+/// machine-independent totals (committed, rejected, retired, live, alert
+/// fires and resolves, breaker violations, flight dumps, checksum bits)
 /// and only the deterministic lines (alert transitions and flight dumps —
 /// batch heartbeats carry host-dependent RSS readings).
-fn deterministic_lines(config: &WatchConfig) -> (WatchOutcome, Vec<String>) {
-    let plane = watch_plane(Arc::new(RecordingSink::with_virtual_clock()), config);
+fn deterministic_lines(config: &OnlineScaleConfig) -> ([u64; 9], Vec<String>) {
+    let plane = stream_plane(Arc::new(RecordingSink::with_virtual_clock()));
     let mut lines = Vec::new();
-    let outcome = run_watch(config, plane, |l| {
+    let report = run_online_scale(config, Some(plane.clone()), |l| {
         if l.starts_with("{\"kind\":\"alert\"") || l.starts_with("{\"kind\":\"flight_dump\"") {
             lines.push(l.to_string());
         }
     })
     .unwrap();
-    (outcome, lines)
+    let p = &report.points[0];
+    let totals = [
+        p.committed,
+        p.rejected,
+        p.retired,
+        p.live_instances as u64,
+        p.alerts_fired,
+        p.alerts_resolved,
+        plane.breaker_violations(),
+        plane.dumps_total(),
+        p.checksum.to_bits(),
+    ];
+    (totals, lines)
 }
 
 #[test]
 fn alert_stream_is_bit_identical_across_thread_counts() {
     let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let config = small_watch();
+    let config = small_stream();
     let mut runs = Vec::new();
     for lanes in [1usize, 2, 8] {
         so_parallel::set_thread_limit(lanes);
@@ -214,21 +233,21 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 fn http_surface_serves_all_four_endpoints_during_a_live_run() {
     let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Install the sink globally so the engine's gauges land on /metrics,
-    // exactly as `smoothop watch --listen` wires it.
+    // exactly as `smoothop online --listen` wires it.
     let sink = Arc::new(RecordingSink::with_wall_clock());
     so_telemetry::install(sink.clone());
-    let config = WatchConfig {
+    let config = OnlineScaleConfig {
         plant_violation: false,
-        ..small_watch()
+        ..small_stream()
     };
-    let plane = watch_plane(sink, &config);
+    let plane = stream_plane(sink);
     let server = MetricsServer::spawn("127.0.0.1:0", plane.clone()).unwrap();
     let addr = server.addr();
 
     // Scrape mid-run from inside the emit callback: the surface must be
     // live *while* the engine streams, not only after it finishes.
     let mut scraped_midrun = false;
-    let outcome = run_watch(&config, plane, |line| {
+    let report = run_online_scale(&config, Some(plane), |line| {
         if !scraped_midrun && line.starts_with("{\"kind\":\"batch\",\"batch\":2") {
             scraped_midrun = true;
             let metrics = http_get(addr, "/metrics");
@@ -239,7 +258,7 @@ fn http_surface_serves_all_four_endpoints_during_a_live_run() {
     .unwrap();
     so_telemetry::uninstall();
     assert!(scraped_midrun, "mid-run scrape never happened");
-    assert!(outcome.committed > 0);
+    assert!(report.points[0].committed > 0);
 
     let health = http_get(addr, "/health");
     assert!(health.starts_with("HTTP/1.1 200"), "{health}");
@@ -339,4 +358,48 @@ fn flight_ring_wraps_without_losing_the_newest_records() {
         .flight_records(0)
         .iter()
         .all(|r| r.kind != FlightKind::AlertFired));
+}
+
+#[test]
+fn online_cli_streams_a_planted_violation_end_to_end() {
+    // The CLI path: the live flags attach a plane without `--listen`, the
+    // JSONL stream and the flight ring land where the flags point, and
+    // the planted breach surfaces exactly once.
+    let dir = std::env::temp_dir().join(format!("online-cli-e2e-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (stream, flight) = (dir.join("watch.jsonl"), dir.join("flight.jsonl"));
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_smoothop"))
+        .args(["online", "--instances", "480", "--plant-violation"])
+        .arg("--watch-out")
+        .arg(&stream)
+        .arg("--flight-out")
+        .arg(&flight)
+        .arg("--out")
+        .arg(dir.join("BENCH_online.json"))
+        .output()
+        .expect("smoothop online runs");
+    assert!(
+        output.status.success(),
+        "stdout: {}\nstderr: {}",
+        String::from_utf8_lossy(&output.stdout),
+        String::from_utf8_lossy(&output.stderr)
+    );
+
+    let lines = std::fs::read_to_string(&stream).expect("stream written");
+    let fired = lines
+        .lines()
+        .filter(|l| l.contains("\"rule\":\"breaker_budget_violation\",\"state\":\"fired\""))
+        .count();
+    assert_eq!(fired, 1, "{lines}");
+    assert!(
+        lines
+            .lines()
+            .last()
+            .is_some_and(|l| l.starts_with("{\"kind\":\"summary\"")),
+        "{lines}"
+    );
+    let flight = std::fs::metadata(&flight).expect("flight ring written");
+    assert!(flight.len() > 0);
+
+    std::fs::remove_dir_all(&dir).ok();
 }
