@@ -13,7 +13,8 @@ use so_powertrace::PowerTrace;
 use so_powertree::{Assignment, NodeAggregates, NodeId, PowerTopology};
 
 use crate::error::CoreError;
-use crate::score::pairwise_score;
+use crate::online::LeafDecision;
+use crate::score::{check_grid, peak_of_sum_samples};
 
 /// The effect of admitting a candidate instance onto one rack.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -39,6 +40,12 @@ pub struct AdmissionDecision {
 /// `budgets` holds the provisioned budget per node (use
 /// `topology.node(id).budget_watts()` based budgets, or custom ones).
 ///
+/// Each rack costs one fused O(T) pass — the probe
+/// [`crate::OnlineFleet::evaluate`] runs — against the cached aggregates
+/// and peaks, with the candidate's peak scanned once and rack occupancy
+/// counted once per call. The `online` oracle family holds every field
+/// and the sort order against an independent materializing reference.
+///
 /// # Errors
 ///
 /// Propagates tree/trace errors; returns
@@ -59,40 +66,34 @@ pub fn admission_decisions(
             },
         ));
     }
-    let by_rack = assignment.by_rack();
+    let mut residents = vec![0usize; topology.len()];
+    for &rack in assignment.racks() {
+        residents[rack.index()] += 1;
+    }
     let capacity = topology.rack_capacity();
+    let samples = candidate.samples();
+    let candidate_peak = candidate.peak();
 
     let mut decisions = Vec::with_capacity(topology.racks().len());
     for &rack in topology.racks() {
         let aggregate = aggregates.trace(rack).map_err(CoreError::Tree)?;
-        let combined = aggregate.try_add(candidate)?;
-        let new_peak = combined.peak();
-        let old_peak = aggregate.peak();
-
-        let has_slot = by_rack.get(&rack).map_or(0, |v| v.len()) < capacity;
-        let mut path_ok = new_peak <= budgets[rack.index()];
-        if path_ok {
-            for ancestor in topology.ancestors(rack).map_err(CoreError::Tree)? {
-                let anc_aggregate = aggregates.trace(ancestor).map_err(CoreError::Tree)?;
-                let anc_peak = anc_aggregate.try_add(candidate)?.peak();
-                if anc_peak > budgets[ancestor.index()] {
-                    path_ok = false;
-                    break;
-                }
-            }
-        }
-
-        let asynchrony = if old_peak > 0.0 {
-            pairwise_score(aggregate, candidate)?
-        } else {
-            2.0
-        };
+        check_grid(aggregate.samples(), aggregate.step_minutes(), candidate)?;
+        let has_slot = residents[rack.index()] < capacity;
+        let d = probe_rack(
+            topology,
+            aggregates,
+            budgets,
+            rack,
+            has_slot,
+            samples,
+            candidate_peak,
+        )?;
         decisions.push(AdmissionDecision {
             rack,
-            fits: has_slot && path_ok,
-            new_peak_watts: new_peak,
-            peak_increase_watts: new_peak - old_peak,
-            asynchrony,
+            fits: d.fits,
+            new_peak_watts: d.new_peak_watts,
+            peak_increase_watts: d.peak_increase_watts,
+            asynchrony: d.asynchrony,
         });
     }
     decisions.sort_by(|a, b| {
@@ -110,6 +111,96 @@ pub fn admission_decisions(
             )
     });
     Ok(decisions)
+}
+
+/// Evaluates admitting `candidate` (whose peak is `candidate_peak`) onto
+/// `rack` in one O(T) pass: a fused [`peak_of_sum_samples`] probe against
+/// the rack's aggregate row, whose result also yields the pairwise
+/// asynchrony from the cached peaks. Ancestors are cleared by
+/// [`ancestors_admit`]. Allocation-free, and bit-identical to
+/// materializing `aggregate.try_add(candidate)` and scoring it with
+/// [`crate::pairwise_score`]. `has_slot` is the caller's capacity verdict.
+///
+/// # Errors
+///
+/// Propagates tree lookups and row-length mismatches.
+#[inline]
+pub(crate) fn probe_rack(
+    topology: &PowerTopology,
+    aggregates: &NodeAggregates,
+    budgets: &[f64],
+    rack: NodeId,
+    has_slot: bool,
+    candidate: &[f64],
+    candidate_peak: f64,
+) -> Result<LeafDecision, CoreError> {
+    let row = aggregates.trace(rack).map_err(CoreError::Tree)?.samples();
+    let new_peak = peak_of_sum_samples(row, candidate)?;
+    let old_peak = aggregates.peak(rack).map_err(CoreError::Tree)?;
+    let power_ok = new_peak <= budgets[rack.index()]
+        && ancestors_admit(
+            topology,
+            aggregates,
+            budgets,
+            rack,
+            candidate,
+            candidate_peak,
+        )?;
+
+    // `pairwise_score(aggregate, candidate)`, fused: its peak sum is the
+    // two cached peaks added onto 0.0, and its aggregate peak is exactly
+    // `new_peak`.
+    let asynchrony = if old_peak > 0.0 && new_peak != 0.0 {
+        (0.0 + old_peak + candidate_peak) / new_peak
+    } else {
+        2.0
+    };
+    Ok(LeafDecision {
+        rack,
+        fits: has_slot && power_ok,
+        has_slot,
+        power_ok,
+        new_peak_watts: new_peak,
+        peak_increase_watts: new_peak - old_peak,
+        headroom_watts: budgets[rack.index()] - new_peak,
+        asynchrony,
+    })
+}
+
+/// Whether every ancestor of `rack` keeps its budget with `candidate`
+/// added, walking parent links up to the root.
+///
+/// The O(1) bound is exact: samples are finite and non-negative and
+/// round-to-nearest addition is monotone, so every
+/// `fl(a[t] + c[t]) <= fl(peak(a) + peak(c))`. A bound within budget
+/// therefore proves the ancestor fits; only an inconclusive bound pays
+/// the O(T) [`peak_of_sum_samples`] rescan, with the original `> budget`
+/// comparison.
+fn ancestors_admit(
+    topology: &PowerTopology,
+    aggregates: &NodeAggregates,
+    budgets: &[f64],
+    rack: NodeId,
+    candidate: &[f64],
+    candidate_peak: f64,
+) -> Result<bool, CoreError> {
+    let mut node = topology.node(rack).map_err(CoreError::Tree)?;
+    while let Some(ancestor) = node.parent() {
+        let budget = budgets[ancestor.index()];
+        let peak = aggregates.peak(ancestor).map_err(CoreError::Tree)?;
+        let proven = peak + candidate_peak <= budget;
+        if !proven {
+            let row = aggregates
+                .trace(ancestor)
+                .map_err(CoreError::Tree)?
+                .samples();
+            if peak_of_sum_samples(row, candidate)? > budget {
+                return Ok(false);
+            }
+        }
+        node = topology.node(ancestor).map_err(CoreError::Tree)?;
+    }
+    Ok(true)
 }
 
 /// The best admissible rack for `candidate`, or `None` when no rack can

@@ -15,9 +15,9 @@ use so_cluster::euclidean_sq;
 use so_powertree::{Assignment, NodeId, PowerTopology};
 use so_workloads::Fleet;
 
+use crate::embedding::score_vectors;
 use crate::error::CoreError;
 use crate::placement::SmoothPlacer;
-use crate::score::instance_to_service_score;
 use crate::straces::ServiceTraces;
 
 /// Constraints a placement must satisfy.
@@ -111,17 +111,7 @@ impl SmoothPlacer {
         // Embedding reused for similarity-aware swap repair.
         let members: Vec<usize> = (0..fleet.len()).collect();
         let straces = ServiceTraces::extract(fleet, &members, self.config().top_services)?;
-        let traces = fleet.averaged_traces();
-        let vectors: Vec<Vec<f64>> = members
-            .iter()
-            .map(|&i| {
-                straces
-                    .traces()
-                    .iter()
-                    .map(|s| instance_to_service_score(&traces[i], s))
-                    .collect::<Result<Vec<f64>, CoreError>>()
-            })
-            .collect::<Result<_, _>>()?;
+        let vectors = score_vectors(fleet, &members, &straces)?;
 
         // Instances pinned by constraints must not be displaced by later
         // repairs of other groups.

@@ -7,22 +7,95 @@
 //! that clusters poorly.
 
 use so_parallel::par_map;
-use so_powertrace::{PowerTrace, TraceArena};
+use so_powertrace::{peak_of_samples, PowerTrace, TraceArena};
 use so_workloads::Fleet;
 
 use crate::error::CoreError;
-use crate::score::{instance_to_service_score, pairwise_score_samples};
+use crate::score::{check_grid, peak_of_sum_samples};
 use crate::straces::ServiceTraces;
 
 /// Minimum embedding rows per worker thread: each row costs `|B|` trace
 /// scans, so a handful already amortizes a spawn.
 const ROW_GRAIN: usize = 8;
 
+/// The S-trace side of an I-to-S embedding, prepared once per embedding:
+/// the S-traces and their peaks. [`ServiceBasis::score_row`] is the one
+/// row kernel behind [`score_vectors`], [`score_vectors_from_traces`] and
+/// [`score_vectors_arena`].
+#[derive(Debug, Clone)]
+pub struct ServiceBasis<'a> {
+    traces: &'a [PowerTrace],
+    peaks: Vec<f64>,
+}
+
+impl<'a> ServiceBasis<'a> {
+    /// Prepares `traces` (the S-traces, one per embedding dimension),
+    /// scanning each one's peak once.
+    pub fn new(traces: &'a [PowerTrace]) -> Self {
+        Self {
+            traces,
+            peaks: traces.iter().map(PowerTrace::peak).collect(),
+        }
+    }
+
+    /// The I-to-S scores of one instance row (samples on a
+    /// `step_minutes` grid) against every S-trace, fused: the row's peak
+    /// is scanned once, and each coordinate costs one
+    /// [`peak_of_sum_samples`] pass — no aggregate trace is materialized.
+    /// The peak sum is `0.0 + peak(row) + peak(s)` and a zero aggregate
+    /// peak scores 2.0, exactly as [`crate::asynchrony_score`] computes
+    /// them, so every coordinate is bit-identical to
+    /// [`crate::instance_to_service_score`] on the same samples.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`CoreError::Trace`] length or step mismatch that
+    /// `PowerTrace::try_add_assign` reports for the first S-trace off the
+    /// row's grid.
+    pub fn score_row(&self, row: &[f64], step_minutes: u32) -> Result<Vec<f64>, CoreError> {
+        let row_peak = peak_of_samples(row);
+        self.traces
+            .iter()
+            .zip(&self.peaks)
+            .map(|(service, &service_peak)| {
+                check_grid(row, step_minutes, service)?;
+                let aggregate_peak = peak_of_sum_samples(row, service.samples())?;
+                Ok(if aggregate_peak == 0.0 {
+                    2.0
+                } else {
+                    (0.0 + row_peak + service_peak) / aggregate_peak
+                })
+            })
+            .collect()
+    }
+}
+
+/// Scores every member row against the S-traces with the
+/// [`ServiceBasis`] kernel; `row(i)` yields instance `i`'s samples and
+/// grid step. Rows are computed in parallel; each row is a pure function
+/// of one instance, so the result is identical to the serial loop.
+fn embed_rows<'t>(
+    members: &[usize],
+    straces: &ServiceTraces,
+    row: impl Fn(usize) -> (&'t [f64], u32) + Sync,
+) -> Result<Vec<Vec<f64>>, CoreError> {
+    // Counters only: the placement recursion calls this concurrently, and
+    // commutative integer adds stay thread-count independent.
+    if so_telemetry::enabled() {
+        so_telemetry::counter_add("so_embedding_runs_total", &[], 1);
+        so_telemetry::counter_add("so_embedding_rows_total", &[], members.len() as u64);
+    }
+    let basis = ServiceBasis::new(straces.traces());
+    par_map(members, ROW_GRAIN, |_, &i| {
+        let (samples, step) = row(i);
+        basis.score_row(samples, step)
+    })
+    .into_iter()
+    .collect()
+}
+
 /// Computes the asynchrony-score vector of every member instance against
 /// the given S-traces. Row `r` corresponds to `members[r]`.
-///
-/// Rows are computed in parallel; each row is a pure function of one
-/// instance, so the result is identical to the serial loop.
 ///
 /// # Errors
 ///
@@ -49,52 +122,27 @@ pub fn score_vectors_from_traces(
     members: &[usize],
     straces: &ServiceTraces,
 ) -> Result<Vec<Vec<f64>>, CoreError> {
-    // Counters only: the placement recursion calls this concurrently, and
-    // commutative integer adds stay thread-count independent.
-    if so_telemetry::enabled() {
-        so_telemetry::counter_add("so_embedding_runs_total", &[], 1);
-        so_telemetry::counter_add("so_embedding_rows_total", &[], members.len() as u64);
-    }
-    par_map(members, ROW_GRAIN, |_, &i| {
-        straces
-            .traces()
-            .iter()
-            .map(|s| instance_to_service_score(&traces[i], s))
-            .collect()
+    embed_rows(members, straces, |i| {
+        (traces[i].samples(), traces[i].step_minutes())
     })
-    .into_iter()
-    .collect()
 }
 
 /// [`score_vectors_from_traces`] over a columnar [`TraceArena`] (row `i`
-/// is instance `i`'s averaged I-trace): each coordinate is a fused
-/// [`pairwise_score_samples`] between an arena row and an S-trace, so no
-/// aggregate trace is materialized per cell. Bit-identical to the
-/// trace-slice path on the same samples — the `arena` oracle family pins
-/// this.
+/// is instance `i`'s averaged I-trace), through the same
+/// [`ServiceBasis::score_row`] kernel — bit-identical to the trace-slice
+/// path on the same samples; the `arena` oracle family pins both against
+/// the per-cell [`crate::instance_to_service_score`].
 ///
 /// # Errors
 ///
-/// Propagates trace errors (length mismatches between arena rows and
+/// Propagates trace errors (grid mismatches between arena rows and
 /// S-traces).
 pub fn score_vectors_arena(
     arena: &TraceArena,
     members: &[usize],
     straces: &ServiceTraces,
 ) -> Result<Vec<Vec<f64>>, CoreError> {
-    if so_telemetry::enabled() {
-        so_telemetry::counter_add("so_embedding_runs_total", &[], 1);
-        so_telemetry::counter_add("so_embedding_rows_total", &[], members.len() as u64);
-    }
-    par_map(members, ROW_GRAIN, |_, &i| {
-        straces
-            .traces()
-            .iter()
-            .map(|s| pairwise_score_samples(arena.row(i), s.samples()))
-            .collect()
-    })
-    .into_iter()
-    .collect()
+    embed_rows(members, straces, |i| (arena.row(i), arena.step_minutes()))
 }
 
 /// Computes pairwise I-to-I score vectors (each instance against every
@@ -189,6 +237,30 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn score_row_is_bit_identical_to_instance_to_service_score() {
+        let trace = |v: &[f64]| PowerTrace::new(v.to_vec(), 10).unwrap();
+        let services = [
+            trace(&[0.0, 4.0, 2.0]),
+            trace(&[2.5, 7.5, 0.0]),
+            trace(&[0.0, 0.0, 0.0]),
+        ];
+        let basis = ServiceBasis::new(&services);
+        for instance in [
+            trace(&[4.0, 0.0, 2.0]),
+            trace(&[0.1, 0.7, 0.3]),
+            trace(&[0.0, 0.0, 0.0]),
+        ] {
+            let row = basis.score_row(instance.samples(), 10).unwrap();
+            for (got, service) in row.iter().zip(&services) {
+                let want = crate::instance_to_service_score(&instance, service).unwrap();
+                assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
+        assert!(basis.score_row(&[1.0, 2.0], 10).is_err());
+        assert!(basis.score_row(&[1.0, 2.0, 3.0], 15).is_err());
     }
 
     #[test]

@@ -73,6 +73,7 @@ pub use degraded::{
 };
 pub use embedding::{
     pairwise_score_vectors, score_vectors, score_vectors_arena, score_vectors_from_traces,
+    ServiceBasis,
 };
 pub use error::CoreError;
 pub use monitor::{DriftMonitor, DriftReport, LevelDrift};
@@ -87,7 +88,7 @@ pub use remap::{
 };
 pub use score::{
     asynchrony_score, averaged_peer_trace, differential_score, differential_score_excluding,
-    instance_to_service_score, pairwise_score, pairwise_score_samples, peak_of_sum_samples,
+    instance_to_service_score, pairwise_score, peak_of_sum_samples,
 };
 pub use source::SampleSource;
 pub use straces::ServiceTraces;

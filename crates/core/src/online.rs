@@ -50,6 +50,7 @@ use so_powertrace::{peak_of_samples, PowerTrace, TimeGrid, TraceArena, TraceErro
 use so_powertree::{Assignment, Level, NodeAggregates, NodeId, PowerTopology, TreeError};
 use so_telemetry::{AlertTransition, FlightKind, LivePlane};
 
+use crate::admission::probe_rack;
 use crate::error::CoreError;
 use crate::remap::{remap_arena, RemapConfig, RemapReport};
 use crate::score::{pairwise_score, peak_of_sum_samples};
@@ -656,13 +657,12 @@ impl OnlineFleet {
         Ok((traces, assignment, slots))
     }
 
-    /// Evaluates admitting `candidate` onto one rack in one O(T) pass: a
-    /// fused [`peak_of_sum_samples`] probe against the rack's cached
-    /// aggregate row, whose result also yields the pairwise asynchrony
-    /// from the cached peaks. Ancestors are cleared by an exact O(1) peak
-    /// bound and rescanned only when it is inconclusive. Allocation-free
-    /// and bit-identical to the materializing
-    /// [`crate::admission_decisions`] arithmetic.
+    /// Evaluates admitting `candidate` onto one rack in one O(T) pass: the
+    /// fused probe [`crate::admission_decisions`] also runs, against the
+    /// engine's cached aggregate rows and peaks. Ancestors are cleared by
+    /// an exact O(1) peak bound and rescanned only when it is
+    /// inconclusive. Allocation-free; the `online` oracle family holds it
+    /// bit-for-bit against a materializing reference.
     ///
     /// # Errors
     ///
@@ -679,72 +679,16 @@ impl OnlineFleet {
         candidate: &[f64],
         candidate_peak: f64,
     ) -> Result<LeafDecision, CoreError> {
-        let row = self
-            .aggregates
-            .trace(rack)
-            .map_err(CoreError::Tree)?
-            .samples();
-        let new_peak = peak_of_sum_samples(row, candidate)?;
-        let old_peak = self.aggregates.peak(rack).map_err(CoreError::Tree)?;
-
-        let capacity = self.topology.rack_capacity();
-        let has_slot = self.members[rack.index()].len() < capacity;
-        let power_ok = new_peak <= self.budgets[rack.index()]
-            && self.ancestors_admit(rack, candidate, candidate_peak)?;
-
-        // `pairwise_score_samples(row, candidate)`, fused: its peak sum is
-        // the two cached peaks added onto 0.0, and its aggregate peak is
-        // exactly `new_peak`.
-        let asynchrony = if old_peak > 0.0 && new_peak != 0.0 {
-            (0.0 + old_peak + candidate_peak) / new_peak
-        } else {
-            2.0
-        };
-        Ok(LeafDecision {
+        let has_slot = self.members[rack.index()].len() < self.topology.rack_capacity();
+        probe_rack(
+            &self.topology,
+            &self.aggregates,
+            &self.budgets,
             rack,
-            fits: has_slot && power_ok,
             has_slot,
-            power_ok,
-            new_peak_watts: new_peak,
-            peak_increase_watts: new_peak - old_peak,
-            headroom_watts: self.budgets[rack.index()] - new_peak,
-            asynchrony,
-        })
-    }
-
-    /// Whether every ancestor of `rack` keeps its budget with `candidate`
-    /// added, walking parent links up to the root.
-    ///
-    /// The O(1) bound is exact: samples are finite and non-negative and
-    /// round-to-nearest addition is monotone, so every
-    /// `fl(a[t] + c[t]) <= fl(peak(a) + peak(c))`. A bound within budget
-    /// therefore proves the ancestor fits; only an inconclusive bound
-    /// pays the O(T) [`peak_of_sum_samples`] rescan, with the original
-    /// `> budget` comparison.
-    fn ancestors_admit(
-        &self,
-        rack: NodeId,
-        candidate: &[f64],
-        candidate_peak: f64,
-    ) -> Result<bool, CoreError> {
-        let mut node = self.topology.node(rack).map_err(CoreError::Tree)?;
-        while let Some(ancestor) = node.parent() {
-            let budget = self.budgets[ancestor.index()];
-            let peak = self.aggregates.peak(ancestor).map_err(CoreError::Tree)?;
-            let proven = peak + candidate_peak <= budget;
-            if !proven {
-                let row = self
-                    .aggregates
-                    .trace(ancestor)
-                    .map_err(CoreError::Tree)?
-                    .samples();
-                if peak_of_sum_samples(row, candidate)? > budget {
-                    return Ok(false);
-                }
-            }
-            node = self.topology.node(ancestor).map_err(CoreError::Tree)?;
-        }
-        Ok(true)
+            candidate,
+            candidate_peak,
+        )
     }
 
     /// Evaluates `candidate` against every rack, in ascending rack order.

@@ -113,11 +113,9 @@ impl SmoothPlacer {
         }
 
         let all: Vec<usize> = (0..n).collect();
-        // Root embedding, reused at deeper levels unless re-clustering.
-        let root_vectors = self.embed(fleet, &all)?;
-
+        let root = self.root_table(fleet, &all)?;
         let mut rack_of: Vec<Option<NodeId>> = vec![None; n];
-        for (i, rack) in self.assign(fleet, topology, topology.root(), &all, &root_vectors)? {
+        for (i, rack) in self.assign(fleet, topology, topology.root(), &all, root.as_deref())? {
             rack_of[i] = Some(rack);
         }
 
@@ -190,8 +188,8 @@ impl SmoothPlacer {
         let members = base.instances_under(topology, node)?;
         let mut rack_of: Vec<Option<NodeId>> = base.racks().iter().map(|&r| Some(r)).collect();
         if !members.is_empty() {
-            let vectors = self.embed(fleet, &members)?;
-            for (i, rack) in self.assign(fleet, topology, node, &members, &vectors)? {
+            let root = self.root_table(fleet, &members)?;
+            for (i, rack) in self.assign(fleet, topology, node, &members, root.as_deref())? {
                 rack_of[i] = Some(rack);
             }
         }
@@ -202,26 +200,35 @@ impl SmoothPlacer {
         Ok(Assignment::new(rack_of, topology)?)
     }
 
-    /// Embeds `members` into asynchrony-score space (indexed by *global*
-    /// instance id for easy reuse).
+    /// Embeds `members` into asynchrony-score space; row `r` is
+    /// `members[r]`'s point.
     fn embed(&self, fleet: &Fleet, members: &[usize]) -> Result<Vec<Vec<f64>>, CoreError> {
-        let straces = ServiceTraces::extract(fleet, members, self.top_services(members))?;
-        let rows = score_vectors(fleet, members, &straces)?;
-        // Scatter rows into a dense per-instance table (unused slots stay
-        // empty vectors).
-        let mut table = vec![Vec::new(); fleet.len()];
-        for (&i, row) in members.iter().zip(rows) {
-            table[i] = row;
-        }
-        Ok(table)
+        let straces = ServiceTraces::extract(fleet, members, self.config.top_services.max(1))?;
+        score_vectors(fleet, members, &straces)
     }
 
-    fn top_services(&self, _members: &[usize]) -> usize {
-        self.config.top_services.max(1)
+    /// The one embedding of the placement root's `members`, scattered into
+    /// a table indexed by global instance id, when every level reuses it
+    /// (`recluster_per_level: false`); `None` when each clustered deal
+    /// embeds its own members instead.
+    fn root_table(
+        &self,
+        fleet: &Fleet,
+        members: &[usize],
+    ) -> Result<Option<Vec<Vec<f64>>>, CoreError> {
+        if self.config.recluster_per_level {
+            return Ok(None);
+        }
+        let mut table = vec![Vec::new(); fleet.len()];
+        for (&i, row) in members.iter().zip(self.embed(fleet, members)?) {
+            table[i] = row;
+        }
+        Ok(Some(table))
     }
 
     /// Recursively assigns `members` to racks under `node`, returning the
-    /// `(instance, rack)` pairs.
+    /// `(instance, rack)` pairs. `root` is the shared root embedding when
+    /// re-clustering is off.
     ///
     /// Child subtrees are independent once the groups are dealt, so the
     /// recursion fans out in parallel. Each child's result vector is a pure
@@ -233,28 +240,18 @@ impl SmoothPlacer {
         topology: &PowerTopology,
         node: NodeId,
         members: &[usize],
-        vectors: &[Vec<f64>],
+        root: Option<&[Vec<f64>]>,
     ) -> Result<Vec<(usize, NodeId)>, CoreError> {
         let power_node = topology.node(node)?;
         if power_node.is_rack() {
             return Ok(members.iter().map(|&i| (i, node)).collect());
         }
         let children: Vec<NodeId> = power_node.children().to_vec();
-        let q = children.len();
         if members.is_empty() {
             return Ok(Vec::new());
         }
 
-        // Refresh the embedding for this subtree when configured.
-        let local_vectors;
-        let vectors = if self.config.recluster_per_level && members.len() > q {
-            local_vectors = self.embed(fleet, members)?;
-            &local_vectors
-        } else {
-            vectors
-        };
-
-        let groups = self.deal(members, vectors, q)?;
+        let groups = self.deal(fleet, members, root, children.len())?;
 
         // Respect subtree capacities: move overflow into children with
         // space (only triggers on nearly-full datacenters).
@@ -263,7 +260,7 @@ impl SmoothPlacer {
         let jobs: Vec<(NodeId, Vec<usize>)> = children.into_iter().zip(groups).collect();
         let mut pairs = Vec::with_capacity(members.len());
         for result in par_map(&jobs, 1, |_, (child, group)| {
-            self.assign(fleet, topology, *child, group, vectors)
+            self.assign(fleet, topology, *child, group, root)
         }) {
             pairs.extend(result?);
         }
@@ -272,10 +269,16 @@ impl SmoothPlacer {
 
     /// Splits `members` into `q` groups by balanced clustering + round-robin
     /// dealing; falls back to index-striping for tiny sets.
+    ///
+    /// Only the clustered branch reads asynchrony-score points, so only it
+    /// embeds: from the shared `root` table when re-clustering is off,
+    /// otherwise by embedding exactly `members` against their own
+    /// S-traces.
     fn deal(
         &self,
+        fleet: &Fleet,
         members: &[usize],
-        vectors: &[Vec<f64>],
+        root: Option<&[Vec<f64>]>,
         q: usize,
     ) -> Result<Vec<Vec<usize>>, CoreError> {
         if q == 1 {
@@ -293,9 +296,16 @@ impl SmoothPlacer {
         }
         so_telemetry::counter_add("so_placement_clustered_deals_total", &[], 1);
 
-        // Borrow the member rows — k-means is generic over `AsRef<[f64]>`,
-        // so the gather costs one pointer vector, not |members| row clones.
-        let points: Vec<&[f64]> = members.iter().map(|&i| vectors[i].as_slice()).collect();
+        // k-means is generic over `AsRef<[f64]>`, so the shared root rows
+        // are borrowed, not cloned.
+        let local;
+        let points: Vec<&[f64]> = match root {
+            Some(table) => members.iter().map(|&i| table[i].as_slice()).collect(),
+            None => {
+                local = self.embed(fleet, members)?;
+                local.iter().map(Vec::as_slice).collect()
+            }
+        };
         let kconfig = KMeansConfig {
             seed: self.config.seed,
             ..KMeansConfig::new(h)

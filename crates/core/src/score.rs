@@ -10,7 +10,7 @@
 //! and `|M|` when aggregation leaves the group peak equal to each
 //! component's peak (perfect complementarity).
 
-use so_powertrace::{peak_of_samples, PowerTrace, TraceError};
+use so_powertrace::{PowerTrace, TraceError};
 
 use crate::error::CoreError;
 
@@ -95,59 +95,36 @@ pub fn differential_score(instance: &PowerTrace, peer_mean: &PowerTrace) -> Resu
     pairwise_score(instance, peer_mean)
 }
 
-/// [`pairwise_score`] over raw sample rows (e.g. [`TraceArena`] rows or
-/// borrowed trace samples), fused: the aggregate `a[t] + b[t]` is never
-/// materialized — its peak is folded directly in time order, which is the
-/// exact float work of `PowerTrace::sum_of([a, b])?.peak()`. Bit-identical
-/// to [`pairwise_score`] on the same samples; the `arena` oracle family
-/// pins this.
-///
-/// [`TraceArena`]: so_powertrace::TraceArena
-///
-/// # Errors
-///
-/// Returns [`CoreError::Trace`] (length mismatch) when the rows differ in
-/// length. Steps are the caller's responsibility — rows of one arena always
-/// share a grid.
-pub fn pairwise_score_samples(a: &[f64], b: &[f64]) -> Result<f64, CoreError> {
-    if a.len() != b.len() {
+/// The grid check of `PowerTrace::try_add_assign` with `row` (on a
+/// `step_minutes` grid) as the left-hand operand and `other` as the
+/// right: lengths first, then steps, returning the same error values — so
+/// fused kernels over raw rows fail exactly where the materializing paths
+/// do.
+pub(crate) fn check_grid(
+    row: &[f64],
+    step_minutes: u32,
+    other: &PowerTrace,
+) -> Result<(), CoreError> {
+    if row.len() != other.len() {
         return Err(CoreError::Trace(TraceError::LengthMismatch {
-            left: a.len(),
-            right: b.len(),
+            left: row.len(),
+            right: other.len(),
         }));
     }
-    // Same accumulation as `asynchrony_score`: peaks added onto 0.0 in
-    // member order.
-    let mut peak_sum = 0.0;
-    peak_sum += peak_of_samples(a);
-    peak_sum += peak_of_samples(b);
-    // The aggregate peak mirrors `peak_of_samples`' 4-lane reduction over
-    // the elementwise sums `a[t] + b[t]`: per-element arithmetic is
-    // unchanged and `max` reassociation is exact, so the fold returns the
-    // same bits as materializing the sum and taking its peak.
-    let mut lanes = [f64::MIN; 4];
-    let mut a_chunks = a.chunks_exact(4);
-    let mut b_chunks = b.chunks_exact(4);
-    for (ca, cb) in (&mut a_chunks).zip(&mut b_chunks) {
-        lanes[0] = lanes[0].max(ca[0] + cb[0]);
-        lanes[1] = lanes[1].max(ca[1] + cb[1]);
-        lanes[2] = lanes[2].max(ca[2] + cb[2]);
-        lanes[3] = lanes[3].max(ca[3] + cb[3]);
+    if step_minutes != other.step_minutes() {
+        return Err(CoreError::Trace(TraceError::StepMismatch {
+            left: step_minutes,
+            right: other.step_minutes(),
+        }));
     }
-    let mut aggregate_peak = lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]));
-    for (&x, &y) in a_chunks.remainder().iter().zip(b_chunks.remainder()) {
-        aggregate_peak = aggregate_peak.max(x + y);
-    }
-    if aggregate_peak == 0.0 {
-        return Ok(2.0);
-    }
-    Ok(peak_sum / aggregate_peak)
+    Ok(())
 }
 
 /// Peak of the element-wise sum of two sample rows, fused: the aggregate
 /// `a[t] + b[t]` is never materialized — its peak is folded directly with
-/// [`peak_of_samples`]' 4-lane reduction, which is the exact float work of
-/// `a.try_add(b)?.peak()`. This is the O(T) admissibility probe of online
+/// the 4-lane reduction of [`peak_of_samples`](so_powertrace::peak_of_samples),
+/// which is the exact float work of `a.try_add(b)?.peak()`. This is the
+/// O(T) admissibility probe of online and offline
 /// placement: "what would this node's peak be if the candidate landed in
 /// its subtree?" evaluated against a cached aggregate row.
 ///
@@ -361,19 +338,20 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_score_samples_is_bit_identical_to_pairwise_score() {
-        let cases = [
-            (trace(&[4.0, 0.0, 2.0]), trace(&[0.0, 4.0, 2.0])),
-            (trace(&[1.0, 3.0]), trace(&[2.5, 7.5])),
-            (trace(&[0.0, 0.0]), trace(&[0.0, 0.0])),
-            (trace(&[0.1, 0.7, 0.3]), trace(&[0.0, 0.0, 0.0])),
-        ];
-        for (a, b) in &cases {
-            let want = pairwise_score(a, b).unwrap();
-            let got = pairwise_score_samples(a.samples(), b.samples()).unwrap();
-            assert_eq!(got.to_bits(), want.to_bits());
+    fn check_grid_reports_the_try_add_error() {
+        let a = trace(&[1.0, 2.0, 3.0]);
+        for b in [
+            trace(&[1.0, 2.0]),
+            PowerTrace::new(vec![1.0, 2.0, 3.0], 15).unwrap(),
+            PowerTrace::new(vec![1.0, 2.0], 15).unwrap(),
+        ] {
+            let want = CoreError::Trace(a.try_add(&b).unwrap_err());
+            assert_eq!(
+                check_grid(a.samples(), a.step_minutes(), &b).unwrap_err(),
+                want
+            );
         }
-        assert!(pairwise_score_samples(&[1.0], &[1.0, 2.0]).is_err());
+        assert!(check_grid(a.samples(), a.step_minutes(), &a).is_ok());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! | `arena_round_trip_is_bit_exact` | `from_traces` → rows / `to_traces` vs originals | bit-identical samples & grid |
 //! | `arena_sum_kernel_matches_trace_sum` | `TraceArena::sum_into` vs `PowerTrace::sum_of` per rack | bit-identical samples |
 //! | `arena_peak_kernel_matches_trace_peak` | `TraceArena::peak_of_sum` vs materialized sum's peak | bit-identical |
-//! | `arena_embedding_matches_trace_embedding` | `score_vectors_arena` vs `score_vectors_from_traces` | bit-identical vectors |
+//! | `arena_embedding_matches_trace_embedding` | `score_vectors_arena` and `score_vectors_from_traces` vs the per-cell `instance_to_service_score` | bit-identical vectors |
 //! | `arena_remap_matches_trace_remap` | `remap_arena` vs `remap_traces` | identical report & assignment |
 //! | `arena_quantiles_match_trace_quantiles` | `quantile_of_row`/`row_quantiles` vs `PowerTrace::quantile` | bit-identical |
 //! | `arena_statprof_is_bit_identical` | `statprof_required_budget` over round-tripped traces vs originals | `ProvisioningReport ==` |
@@ -25,8 +25,8 @@
 
 use so_baselines::{statprof_required_budget, ProvisioningDegrees};
 use so_core::{
-    remap_arena, remap_traces, score_vectors_arena, score_vectors_from_traces, RemapConfig,
-    ServiceTraces,
+    instance_to_service_score, remap_arena, remap_traces, score_vectors_arena,
+    score_vectors_from_traces, RemapConfig, ServiceTraces,
 };
 use so_powertrace::{sketch, PowerTrace, TraceArena, P2_RANK_ERROR_BOUND};
 use so_powertree::Level;
@@ -137,7 +137,10 @@ fn sum_kernels(
     Ok(())
 }
 
-/// Fused arena embedding vs the trace-slice embedding, cell by cell.
+/// Both embedding entry points vs the materializing per-cell
+/// [`instance_to_service_score`], cell by cell. The two entry points share
+/// one fused row kernel, so each is held against the per-cell score
+/// rather than against the other.
 fn embedding(
     fixture: &Fixture,
     arena: &TraceArena,
@@ -148,11 +151,23 @@ fn embedding(
     let from_traces = score_vectors_from_traces(fixture.traces(), &members, &straces)?;
     let from_arena = score_vectors_arena(arena, &members, &straces)?;
     for (row, (a, b)) in from_arena.iter().zip(&from_traces).enumerate() {
+        let want = straces
+            .traces()
+            .iter()
+            .map(|s| instance_to_service_score(&fixture.traces()[row], s))
+            .collect::<Result<Vec<f64>, _>>()?;
+        let same = |got: &[f64]| {
+            got.len() == want.len()
+                && got
+                    .iter()
+                    .zip(&want)
+                    .all(|(x, y)| x.to_bits() == y.to_bits())
+        };
         report.check(
             FAMILY,
             "arena_embedding_matches_trace_embedding",
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
-            || format!("embedding row {row} diverges between arena and trace paths"),
+            same(a) && same(b),
+            || format!("embedding row {row} diverges from the per-cell I-to-S scores"),
         );
     }
     Ok(())

@@ -10,7 +10,7 @@
 //! | `journal_retirement_names_the_hosting_rack` | journal replay occupancy at each `Retired`/`Moved` event | exact |
 //! | `journal_replay_reconstructs_the_live_set` | final replayed occupancy vs [`OnlineFleet::live_view`] | exact |
 //! | `rejection_is_agreed_by_offline_replay` | an over-budget probe arrival vs the offline replay | both reject |
-//! | `decisions_match_admission_decisions` | fused [`OnlineFleet::decisions`] vs the materializing [`admission_decisions`] | bit-identical fields |
+//! | `decisions_match_admission_decisions` | fused [`OnlineFleet::decisions`] and fused [`admission_decisions`] vs the materializing [`reference_admission_decisions`] | bit-identical fields and sort order |
 //! | `arrive_then_retire_is_identity` | aggregate bits before vs after an arrive∘retire round trip | bit-identical |
 //! | `retiring_everything_zeroes_aggregates` | every node trace after full retirement | exactly `0.0` |
 //! | `counters_account_for_every_event` | engine counters vs journal arithmetic | exact |
@@ -29,8 +29,8 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::Rng;
 use so_core::{
-    admission_decisions, asynchrony_score, offline_choose, CommitPolicy, EventRecord, LeafDecision,
-    OnlineConfig, OnlineFleet,
+    admission_decisions, asynchrony_score, offline_choose, pairwise_score, AdmissionDecision,
+    CommitPolicy, CoreError, EventRecord, LeafDecision, OnlineConfig, OnlineFleet,
 };
 use so_powertrace::{PowerTrace, TimeGrid};
 use so_powertree::{Assignment, NodeAggregates, NodeId, PowerTopology};
@@ -389,9 +389,10 @@ fn rejection_is_agreed(
     )
 }
 
-/// Fused [`OnlineFleet::decisions`] vs the materializing
-/// [`admission_decisions`] over the same live view, for the first live
-/// trace as the candidate (see [`check_leaf_decisions`]).
+/// Fused [`OnlineFleet::decisions`] and [`admission_decisions`] vs the
+/// materializing [`reference_admission_decisions`] over the same live
+/// view, for the first live trace as the candidate (see
+/// [`check_leaf_decisions`]).
 fn decisions_match_admission(
     engine: &OnlineFleet,
     report: &mut OracleReport,
@@ -404,9 +405,91 @@ fn decisions_match_admission(
     check_leaf_decisions(engine, candidate, &online, report)
 }
 
+/// The materializing admission scan both fused paths are held against:
+/// every rack and every ancestor on its path pays a
+/// `aggregate.try_add(candidate)` and a rescanned peak, the asynchrony is
+/// [`pairwise_score`] over the materialized pair, and occupancy comes
+/// from [`Assignment::by_rack`]. Same contract and sort order as
+/// [`admission_decisions`]; kept here, apart from the library's fused
+/// probe, so the check never compares that probe with itself.
+///
+/// # Errors
+///
+/// Propagates tree/trace errors.
+pub fn reference_admission_decisions(
+    topology: &PowerTopology,
+    assignment: &Assignment,
+    aggregates: &NodeAggregates,
+    budgets: &[f64],
+    candidate: &PowerTrace,
+) -> Result<Vec<AdmissionDecision>, CoreError> {
+    if budgets.len() != topology.len() {
+        return Err(CoreError::Tree(
+            so_powertree::TreeError::InstanceCountMismatch {
+                assignment: topology.len(),
+                traces: budgets.len(),
+            },
+        ));
+    }
+    let by_rack = assignment.by_rack();
+    let capacity = topology.rack_capacity();
+
+    let mut decisions = Vec::with_capacity(topology.racks().len());
+    for &rack in topology.racks() {
+        let aggregate = aggregates.trace(rack).map_err(CoreError::Tree)?;
+        let combined = aggregate.try_add(candidate)?;
+        let new_peak = combined.peak();
+        let old_peak = aggregate.peak();
+
+        let has_slot = by_rack.get(&rack).map_or(0, |v| v.len()) < capacity;
+        let mut path_ok = new_peak <= budgets[rack.index()];
+        if path_ok {
+            for ancestor in topology.ancestors(rack).map_err(CoreError::Tree)? {
+                let anc_aggregate = aggregates.trace(ancestor).map_err(CoreError::Tree)?;
+                let anc_peak = anc_aggregate.try_add(candidate)?.peak();
+                if anc_peak > budgets[ancestor.index()] {
+                    path_ok = false;
+                    break;
+                }
+            }
+        }
+
+        let asynchrony = if old_peak > 0.0 {
+            pairwise_score(aggregate, candidate)?
+        } else {
+            2.0
+        };
+        decisions.push(AdmissionDecision {
+            rack,
+            fits: has_slot && path_ok,
+            new_peak_watts: new_peak,
+            peak_increase_watts: new_peak - old_peak,
+            asynchrony,
+        });
+    }
+    decisions.sort_by(|a, b| {
+        b.fits
+            .cmp(&a.fits)
+            .then(
+                a.peak_increase_watts
+                    .partial_cmp(&b.peak_increase_watts)
+                    .expect("peaks are finite"),
+            )
+            .then(
+                b.asynchrony
+                    .partial_cmp(&a.asynchrony)
+                    .expect("scores are finite"),
+            )
+    });
+    Ok(decisions)
+}
+
 /// Holds `claimed` per-rack decisions for `candidate` against the
-/// materializing [`admission_decisions`] over `engine`'s live view:
-/// `fits`, peaks, peak increases, and asynchrony must share every bit.
+/// materializing [`reference_admission_decisions`] over `engine`'s live
+/// view: `fits`, peaks, peak increases, and asynchrony must share every
+/// bit. The library's fused [`admission_decisions`] over the same view is
+/// held against the reference in the same evaluations, at the same
+/// sorted position — so its sort order is pinned too.
 ///
 /// # Errors
 ///
@@ -422,50 +505,70 @@ pub fn check_leaf_decisions(
         return Ok(());
     }
     let aggregates = NodeAggregates::compute(engine.topology(), &assignment, &traces)?;
-    let offline = admission_decisions(
-        engine.topology(),
-        &assignment,
-        &aggregates,
-        engine.budgets(),
-        candidate,
-    )
-    .map_err(OracleError::Core)?;
+    let (topology, budgets) = (engine.topology(), engine.budgets());
+    let reference =
+        reference_admission_decisions(topology, &assignment, &aggregates, budgets, candidate)
+            .map_err(OracleError::Core)?;
+    let fused = admission_decisions(topology, &assignment, &aggregates, budgets, candidate)
+        .map_err(OracleError::Core)?;
     for d in claimed {
-        let Some(o) = offline.iter().find(|o| o.rack == d.rack) else {
+        let Some(rank) = reference.iter().position(|o| o.rack == d.rack) else {
             report.check(FAMILY, "decisions_match_admission_decisions", false, || {
-                format!("rack {}: no offline admission decision", d.rack)
+                format!("rack {}: no reference admission decision", d.rack)
+            });
+            continue;
+        };
+        let o = &reference[rank];
+        let Some(f) = fused.get(rank) else {
+            report.check(FAMILY, "decisions_match_admission_decisions", false, || {
+                format!(
+                    "rank {rank}: admission_decisions returned {} racks",
+                    fused.len()
+                )
             });
             continue;
         };
         report.check(
             FAMILY,
             "decisions_match_admission_decisions",
-            d.fits == o.fits,
+            d.fits == o.fits && f.rack == o.rack && f.fits == o.fits,
             || {
                 format!(
-                    "rack {}: fused fits {} vs offline {}",
-                    d.rack, d.fits, o.fits
+                    "rack {}: online fits {} and admission_decisions rank {rank} (rack {}, fits {}) vs reference fits {}",
+                    d.rack, d.fits, f.rack, f.fits, o.fits
                 )
             },
         );
-        report.check_exact(
-            FAMILY,
-            "decisions_match_admission_decisions",
-            d.new_peak_watts,
-            o.new_peak_watts,
-        );
-        report.check_exact(
-            FAMILY,
-            "decisions_match_admission_decisions",
-            d.peak_increase_watts,
-            o.peak_increase_watts,
-        );
-        report.check_exact(
-            FAMILY,
-            "decisions_match_admission_decisions",
-            d.asynchrony,
-            o.asynchrony,
-        );
+        for (field, online, admission, want) in [
+            (
+                "new_peak_watts",
+                d.new_peak_watts,
+                f.new_peak_watts,
+                o.new_peak_watts,
+            ),
+            (
+                "peak_increase_watts",
+                d.peak_increase_watts,
+                f.peak_increase_watts,
+                o.peak_increase_watts,
+            ),
+            ("asynchrony", d.asynchrony, f.asynchrony, o.asynchrony),
+        ] {
+            report.check(
+                FAMILY,
+                "decisions_match_admission_decisions",
+                online.to_bits() == want.to_bits() && admission.to_bits() == want.to_bits(),
+                || {
+                    format!(
+                        "rack {} {field}: online {online} ({:#x}), admission_decisions {admission} ({:#x}), reference {want} ({:#x})",
+                        d.rack,
+                        online.to_bits(),
+                        admission.to_bits(),
+                        want.to_bits()
+                    )
+                },
+            );
+        }
     }
     Ok(())
 }
