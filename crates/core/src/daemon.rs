@@ -25,19 +25,27 @@
 //!
 //! # The incremental-update contract
 //!
-//! Ingest is O(touched path) per batch, never a fleet-wide recompute:
-//! sample writes land directly in the arena, then each touched rack and
-//! its ancestor path is *canonically refreshed* (the same
-//! [`refresh_rack`](so_powertree::NodeAggregates::refresh_rack) /
-//! [`refresh_ancestors`](so_powertree::NodeAggregates::refresh_ancestors)
-//! walk every commit and retirement already runs). Canonical refresh
-//! performs exactly the float operations of a from-scratch
-//! [`compute`](so_powertree::NodeAggregates::compute), so the resident
-//! aggregates after **any** ingest stream are bit-identical to an
-//! offline recompute of the final windows — the invariant the `daemon`
-//! oracle family pins. Per-slot window peaks are cached on write
-//! ([`peak_of_samples`] of the touched row only), so asynchrony queries
-//! are O(members) sums over cached peaks, bit-identical to the fused
+//! A reading changes exactly one column of one row, so ingest is
+//! *column-restricted*: never a fleet-wide recompute, and never a
+//! full-width re-sum of a touched rack. Sample writes land directly in
+//! the arena, each recording its `(rack, column)` pair; then every
+//! touched pair, and the same column of every ancestor, is *canonically
+//! re-summed in place* by the one per-node kernel that
+//! [`compute`](so_powertree::NodeAggregates::compute) and every commit
+//! and retirement also run
+//! ([`refresh_rack_columns`](so_powertree::NodeAggregates::refresh_rack_columns) /
+//! [`refresh_ancestor_columns`](so_powertree::NodeAggregates::refresh_ancestor_columns)).
+//! Per column that kernel performs exactly the float operations of a
+//! from-scratch `compute`, so the resident aggregates after **any**
+//! ingest stream are bit-identical to an offline recompute of the final
+//! windows — the invariant the `daemon` oracle family pins. Node peaks
+//! and per-slot window peaks are kept exact per write from the
+//! overwritten sample by [`peak_after_write`]; only a tie with the peak,
+//! or an overwritten peak sample, costs an O(T) rescan of that one node
+//! or row (`cached_window_peaks_match_rescan` pins the window peaks). A
+//! batch therefore costs O(samples + touched (node, column) pairs ×
+//! fan-in) plus those rescans. Asynchrony queries are O(members) sums
+//! over the cached window peaks, bit-identical to the fused
 //! [`OnlineFleet::rack_asynchrony`] recompute because both fold member
 //! peaks in ascending slot order.
 //!
@@ -49,7 +57,7 @@
 //! connection order. Determinism then follows from the engine's own
 //! guarantees — no mutation interleaves mid-batch.
 
-use so_powertrace::{peak_of_samples, PowerTrace, TraceError};
+use so_powertrace::{peak_after_write, peak_of_samples, PowerTrace, TraceError};
 use so_powertree::NodeId;
 use so_telemetry::AlertTransition;
 
@@ -86,9 +94,10 @@ pub struct DaemonFleet {
     fleet: OnlineFleet,
     /// Next ring write position per slot (column index into the window).
     cursor: Vec<usize>,
-    /// Cached [`peak_of_samples`] of each slot's resident window,
-    /// refreshed on every write that touches the slot. Stale for retired
-    /// slots, which no live query reads.
+    /// Cached [`peak_of_samples`] of each slot's resident window, kept
+    /// exact per write by [`peak_after_write`] (a rescan of the row only
+    /// when a write ties the peak or overwrites a peak sample). Retired
+    /// rows are never written again, so their entries stay exact too.
     row_peak: Vec<f64>,
     samples_ingested: u64,
     samples_dropped: u64,
@@ -150,10 +159,13 @@ impl DaemonFleet {
     /// batch never half-applies. Samples addressed to retired or unknown
     /// slots are counted and skipped (instances retire while their last
     /// readings are in flight — that is churn, not corruption). Writes
-    /// land in submission order; each touched slot's cached peak is then
-    /// recomputed from its row alone, and each touched rack path is
-    /// canonically refreshed once (ascending rack id), keeping the whole
-    /// call O(batch + touched path), bit-identical to a full recompute.
+    /// land in submission order, each updating its slot's cached window
+    /// peak from the overwritten sample ([`peak_after_write`]; a row
+    /// rescan only on a tie or an overwritten peak). Each touched
+    /// `(rack, column)` pair, and the same column of each ancestor, is
+    /// then canonically re-summed once, keeping the whole call
+    /// O(batch + touched pairs × path × fan-in), bit-identical to a full
+    /// recompute.
     ///
     /// # Errors
     ///
@@ -173,8 +185,8 @@ impl DaemonFleet {
         // near-slot-order (scrapes walk machines rack by rack), so the
         // sorts are close to linear and far cheaper than per-sample
         // tree inserts at million-sample rates.
-        let mut touched_slots = Vec::new();
-        let mut touched_racks = Vec::new();
+        let mut touched = Vec::new();
+        let mut rescan = Vec::new();
         let mut report = IngestReport::default();
         for update in updates {
             let Some(rack) = self.fleet.rack_of(update.slot) else {
@@ -182,23 +194,28 @@ impl DaemonFleet {
                 continue;
             };
             let pos = self.cursor[update.slot];
-            self.fleet
+            let old = self
+                .fleet
                 .write_window_sample(update.slot, pos, update.watts)?;
             self.cursor[update.slot] = (pos + 1) % window;
-            touched_slots.push(update.slot);
-            touched_racks.push(rack);
+            // NaN marks a window peak only a rescan can settle; the rule
+            // keeps it NaN through later writes in the batch.
+            let peak = &mut self.row_peak[update.slot];
+            *peak = peak_after_write(*peak, old, update.watts).unwrap_or_else(|| {
+                rescan.push(update.slot);
+                f64::NAN
+            });
+            touched.push((rack, pos));
             report.applied += 1;
         }
-        touched_slots.sort_unstable();
-        touched_slots.dedup();
-        for &slot in &touched_slots {
+        rescan.sort_unstable();
+        rescan.dedup();
+        for slot in rescan {
             self.row_peak[slot] = peak_of_samples(self.fleet.row(slot));
         }
-        touched_racks.sort_unstable();
-        touched_racks.dedup();
-        let racks = touched_racks;
-        self.fleet.refresh_racks(&racks)?;
-        report.racks_touched = racks.len();
+        touched.sort_unstable();
+        touched.dedup();
+        report.racks_touched = self.fleet.refresh_columns(&touched)?;
         self.samples_ingested += report.applied as u64;
         self.samples_dropped += report.dropped as u64;
         self.batches_ingested += 1;
@@ -231,9 +248,9 @@ impl DaemonFleet {
         Ok(committed)
     }
 
-    /// Retires a live slot (see [`OnlineFleet::retire`]). The slot's
-    /// cached peak goes stale, which is fine — no live query reads it,
-    /// and slots are never reused.
+    /// Retires a live slot (see [`OnlineFleet::retire`]). Later samples
+    /// for the slot are dropped, so its window and cached peak stay as
+    /// they were; slots are never reused.
     ///
     /// # Errors
     ///
@@ -261,6 +278,15 @@ impl DaemonFleet {
     /// Propagates engine errors.
     pub fn observe_batch(&mut self) -> Result<Vec<AlertTransition>, CoreError> {
         self.fleet.observe_batch()
+    }
+
+    /// The cached window peak of a live `slot` (`None` when retired or
+    /// never committed) — the value [`DaemonFleet::rack_asynchrony`]
+    /// folds. Equal to [`peak_of_samples`] of the slot's row, bit for bit;
+    /// the `daemon` oracle family holds it to that.
+    #[must_use]
+    pub fn window_peak(&self, slot: usize) -> Option<f64> {
+        self.fleet.rack_of(slot).map(|_| self.row_peak[slot])
     }
 
     /// Rack asynchrony from the cached window peaks: the sum of member
@@ -391,6 +417,71 @@ mod tests {
                 "node {node} peak drift"
             );
         }
+        for slot in daemon.fleet().live_slots() {
+            assert_eq!(
+                daemon.window_peak(slot).map(f64::to_bits),
+                Some(peak_of_samples(daemon.fleet().row(slot)).to_bits()),
+                "slot {slot} window peak drift"
+            );
+        }
+    }
+
+    fn ingest(daemon: &mut DaemonFleet, writes: &[(usize, f64)]) {
+        let updates: Vec<SampleUpdate> = writes
+            .iter()
+            .map(|&(slot, watts)| SampleUpdate { slot, watts })
+            .collect();
+        daemon.ingest_batch(&updates).unwrap();
+        assert_bit_identical(daemon);
+    }
+
+    #[test]
+    fn overwriting_the_window_peak_with_a_smaller_value_rescans() {
+        let mut daemon = seeded_daemon(4);
+        // Slot 0 holds [1, 2, 3, 4, 5, 1, 2, 3]: the fifth write lands on
+        // the peak sample and lowers it.
+        assert_eq!(daemon.window_peak(0), Some(5.0));
+        ingest(
+            &mut daemon,
+            &[(0, 1.0), (0, 2.0), (0, 3.0), (0, 4.0), (0, 0.5)],
+        );
+        assert_eq!(daemon.window_peak(0), Some(4.0));
+    }
+
+    #[test]
+    fn writing_a_value_equal_to_the_window_peak_keeps_its_bits() {
+        let mut daemon = seeded_daemon(4);
+        assert_eq!(daemon.window_peak(1), Some(5.0));
+        ingest(&mut daemon, &[(1, 5.0)]);
+        assert_eq!(daemon.window_peak(1), Some(5.0));
+        // A strict raise, then a keep.
+        ingest(&mut daemon, &[(1, 6.5), (1, 0.0)]);
+        assert_eq!(daemon.window_peak(1), Some(6.5));
+    }
+
+    #[test]
+    fn signed_zero_writes_into_an_all_zero_window_stay_exact() {
+        let mut daemon = seeded_daemon(2);
+        let zeros = PowerTrace::zeros(daemon.fleet().grid());
+        let slot = daemon.arrive(&zeros).unwrap().expect("fits");
+        ingest(&mut daemon, &[(slot, 0.0), (slot, -0.0)]);
+        ingest(&mut daemon, &[(slot, -0.0), (slot, -0.0), (slot, 0.0)]);
+        assert_eq!(daemon.window_peak(slot).map(f64::abs), Some(0.0));
+    }
+
+    #[test]
+    fn one_slot_hit_twice_in_a_batch_and_wrapped_stays_exact() {
+        let mut daemon = seeded_daemon(4);
+        ingest(&mut daemon, &[(2, 9.0), (2, 0.25)]);
+        assert_eq!(daemon.window_peak(2), Some(9.0));
+        // Raise at position 2, then wrap the ring within one batch so
+        // the ninth write overwrites that raised peak sample.
+        let window = daemon.window();
+        let mut writes = vec![(2, 100.0)];
+        writes.extend(std::iter::repeat((2, 1.0)).take(window));
+        ingest(&mut daemon, &writes);
+        assert_eq!(daemon.window_peak(2), Some(1.0));
+        assert_eq!(daemon.window_peak(99), None);
     }
 
     #[test]

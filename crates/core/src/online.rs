@@ -27,8 +27,9 @@
 //! refreshes* the touched rack and its ancestor path
 //! ([`NodeAggregates::refresh_rack`] / [`refresh_ancestors`]): the rack
 //! sum is rebuilt from its live members in ascending slot order and each
-//! ancestor re-sums its children in ascending id order — exactly the
-//! float operations of a from-scratch [`NodeAggregates::compute`]. The
+//! ancestor re-sums its children in ascending id order, in place, by the
+//! same per-node kernel a from-scratch [`NodeAggregates::compute`] runs
+//! — so the float operations are exactly compute's by construction. The
 //! consequence, pinned by the `online` oracle family, is that the
 //! resident aggregates after *any* event sequence are **bit-identical**
 //! to an offline recompute of the final fleet. Candidate *evaluation*
@@ -1004,11 +1005,12 @@ impl OnlineFleet {
     }
 
     /// Overwrites one sample of a live slot's resident window *without*
-    /// refreshing aggregates. The daemon's ring-buffer ingest
-    /// ([`crate::daemon::DaemonFleet`]) writes a whole batch of these and
-    /// then canonically refreshes each touched rack path once via
-    /// [`OnlineFleet::refresh_racks`]; a write without a matching refresh
-    /// leaves the resident aggregates stale, so this stays crate-private.
+    /// refreshing aggregates, and returns the overwritten sample. The
+    /// daemon's ring-buffer ingest ([`crate::daemon::DaemonFleet`]) writes
+    /// a whole batch of these and then settles every touched
+    /// `(rack, column)` pair once via [`OnlineFleet::refresh_columns`]; a
+    /// write without a matching refresh leaves the resident aggregates
+    /// stale, so this stays crate-private.
     ///
     /// # Errors
     ///
@@ -1022,7 +1024,7 @@ impl OnlineFleet {
         slot: usize,
         pos: usize,
         watts: f64,
-    ) -> Result<(), CoreError> {
+    ) -> Result<f64, CoreError> {
         if slot >= self.rack_of.len() || self.rack_of[slot].is_none() {
             return Err(CoreError::Trace(TraceError::OutOfBounds {
                 requested: slot,
@@ -1041,20 +1043,47 @@ impl OnlineFleet {
                 value: watts,
             }));
         }
-        self.arena.view_mut(slot).samples_mut()[pos] = watts;
-        Ok(())
+        let mut view = self.arena.view_mut(slot);
+        Ok(std::mem::replace(&mut view.samples_mut()[pos], watts))
     }
 
-    /// Canonically refreshes `racks` and their ancestor paths — the same
-    /// O(touched path) repair every commit/retire runs, exposed within
-    /// the crate so the daemon's batched sample ingest can settle all of
-    /// a batch's window writes in one pass.
+    /// Canonically refreshes the touched `(rack, column)` pairs and the
+    /// same columns of their ancestors — the column-restricted case of the
+    /// refresh every commit and retirement runs
+    /// ([`NodeAggregates::refresh_rack_columns`] /
+    /// [`NodeAggregates::refresh_ancestor_columns`]). `touched` must be
+    /// sorted by rack. The daemon's ingest settles a batch's window writes
+    /// with one call, so its cost follows the touched pairs, not `T`.
+    /// Returns the number of distinct racks refreshed.
     ///
     /// # Errors
     ///
-    /// Propagates tree lookups.
-    pub(crate) fn refresh_racks(&mut self, racks: &[NodeId]) -> Result<(), CoreError> {
-        self.refresh_path(racks)
+    /// Propagates tree lookups and out-of-grid columns.
+    pub(crate) fn refresh_columns(
+        &mut self,
+        touched: &[(NodeId, usize)],
+    ) -> Result<usize, CoreError> {
+        let mut racks = Vec::new();
+        let mut columns = Vec::new();
+        let mut rest = touched;
+        while let Some(&(rack, _)) = rest.first() {
+            let run = rest.iter().take_while(|&&(r, _)| r == rack).count();
+            columns.clear();
+            columns.extend(rest[..run].iter().map(|&(_, column)| column));
+            let rows = self.members[rack.index()]
+                .iter()
+                .map(|&s| self.arena.row(s));
+            self.aggregates
+                .refresh_rack_columns(&self.topology, rack, &columns, rows)
+                .map_err(CoreError::Tree)?;
+            racks.push(rack);
+            rest = &rest[run..];
+        }
+        self.aggregates
+            .refresh_ancestor_columns(&self.topology, touched)
+            .map_err(CoreError::Tree)?;
+        self.refresh_path_fits(&racks)?;
+        Ok(racks.len())
     }
 
     /// Per-level fragmentation of the live fleet against `reference`: at
@@ -1162,6 +1191,12 @@ impl OnlineFleet {
         self.aggregates
             .refresh_ancestors(&self.topology, racks)
             .map_err(CoreError::Tree)?;
+        self.refresh_path_fits(racks)
+    }
+
+    /// Re-derives the cached reference-fit bits on the racks' root paths
+    /// after a refresh. A no-op unless a fragmentation reference is set.
+    fn refresh_path_fits(&mut self, racks: &[NodeId]) -> Result<(), CoreError> {
         if self.frag_reference.is_some() {
             let mut touched = Vec::new();
             for &rack in racks {

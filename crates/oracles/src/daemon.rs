@@ -6,6 +6,7 @@
 //! | `ring_replay_reconstructs_every_window_cell` | arena rows after an ingest stream vs an independent ring-replay model | bit-identical cells |
 //! | `ingest_aggregates_match_batch_recompute` | resident aggregates after ingest vs [`NodeAggregates::compute`] on the materialized windows | bit-identical samples |
 //! | `ingest_peaks_match_batch_recompute` | resident per-node peaks vs the recomputed aggregates' peaks | bit-identical |
+//! | `cached_window_peaks_match_rescan` | incrementally kept [`DaemonFleet::window_peak`] of every live slot vs [`peak_of_samples`] of its row | bit-identical |
 //! | `cached_asynchrony_matches_fused_score` | cached-peak [`DaemonFleet::rack_asynchrony`] vs the fused [`OnlineFleet::rack_asynchrony`] recompute | bit-identical |
 //! | `cached_asynchrony_matches_materialized_score` | cached-peak scores vs [`asynchrony_score`] over materialized member traces | bit-identical |
 //! | `cached_mean_asynchrony_matches_fused` | [`DaemonFleet::mean_rack_asynchrony`] vs the engine's recompute | bit-identical |
@@ -13,19 +14,24 @@
 //! | `malformed_batch_rejects_without_mutation` | root aggregate bits around a NaN-bearing batch | rejected + bit-identical |
 //! | `ingest_accounting_is_exact` | per-batch applied/dropped vs the submitted updates and lifetime counters | exact |
 //!
-//! Every identity here is *exact*: ingest settles each touched rack path
-//! with the same canonical refresh every commit runs, so the resident
-//! state after any stream — including ring wrap-around and interleaved
-//! arrival/retirement churn — must match a from-scratch recompute to the
-//! bit. [`check_daemon_state`] is exported so mutation tests can feed
-//! deliberately broken daemons through the same checker the battery runs.
+//! Every identity here is *exact*: ingest re-sums only the touched
+//! `(rack, column)` pairs and the same columns of their ancestors, with
+//! the per-node kernel every commit and [`NodeAggregates::compute`] run,
+//! and keeps node and window peaks by an exact per-write rule (a rescan
+//! only on a tie or an overwritten peak). So the resident state after
+//! any stream — including ring wrap-around, repeated hits on one slot,
+//! and interleaved arrival/retirement churn — must match a from-scratch
+//! recompute to the bit. [`check_daemon_state`] and
+//! [`check_window_peaks`] are exported so mutation tests can feed
+//! deliberately broken daemons through the same checkers the battery
+//! runs.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use so_core::asynchrony_score;
 use so_core::daemon::{DaemonFleet, SampleUpdate};
 use so_core::online::{CommitPolicy, OnlineConfig, OnlineFleet};
-use so_powertrace::PowerTrace;
+use so_powertrace::{peak_of_samples, PowerTrace};
 use so_powertree::NodeAggregates;
 
 use crate::{Fixture, OracleError, OracleFamily, OracleReport};
@@ -206,6 +212,7 @@ pub fn check_daemon_state(
             offline.peak(node)?,
         );
     }
+    check_window_peaks(engine, |slot| daemon.window_peak(slot), report);
     if !traces.is_empty() {
         for (rack, members) in assignment.by_rack() {
             if members.is_empty() {
@@ -238,6 +245,27 @@ pub fn check_daemon_state(
         );
     }
     Ok(())
+}
+
+/// Every live slot's claimed window peak must carry the bits of
+/// [`peak_of_samples`] over its resident row. `claimed` is the daemon's
+/// [`DaemonFleet::window_peak`] in the battery; mutation tests pass a
+/// stale snapshot instead.
+pub fn check_window_peaks(
+    engine: &OnlineFleet,
+    claimed: impl Fn(usize) -> Option<f64>,
+    report: &mut OracleReport,
+) {
+    for slot in engine.live_slots() {
+        let want = peak_of_samples(engine.row(slot));
+        let got = claimed(slot);
+        report.check(
+            FAMILY,
+            "cached_window_peaks_match_rescan",
+            got.map(f64::to_bits) == Some(want.to_bits()),
+            || format!("slot {slot}: cached window peak {got:?}, rescan {want}"),
+        );
+    }
 }
 
 /// An empty batch must be a perfect no-op on the resident aggregates.

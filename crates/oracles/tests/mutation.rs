@@ -1,10 +1,14 @@
 //! Mutation smoke test: the oracle harness is only worth its keep if a
 //! deliberately broken implementation actually trips it. Each test plants
 //! a classic bug — quantile convention drift, a stale online aggregate, a
-//! wrong-leaf commit — and asserts at least one oracle objects; the
+//! wrong-leaf commit, a stale daemon window peak — and asserts at least
+//! one oracle objects; the
 //! production implementations pass the same probes untouched.
 
-use so_core::{peak_of_sum_samples, CommitPolicy, LeafDecision, OnlineConfig, OnlineFleet};
+use so_core::{
+    peak_of_sum_samples, CommitPolicy, DaemonFleet, LeafDecision, OnlineConfig, OnlineFleet,
+    SampleUpdate,
+};
 use so_oracles::differential::quantile_matches_reference;
 use so_oracles::online::{check_commit_decision, check_leaf_decisions, check_resident_aggregates};
 use so_oracles::{Fixture, OracleFamily, OracleReport};
@@ -140,6 +144,38 @@ fn stale_aggregate_after_retirement_is_caught() {
         .violations()
         .iter()
         .all(|v| v.family == OracleFamily::Online));
+}
+
+#[test]
+fn stale_window_peak_is_caught() {
+    // Bug: a daemon that skips the window-peak update on ingest — modeled
+    // by snapshotting the cached peaks, zeroing one slot's whole window,
+    // and presenting the snapshot as the claimed peaks.
+    let (engine, _) = driven_engine();
+    let mut daemon = DaemonFleet::new(engine);
+    let slot = daemon.fleet().live_slots()[0];
+    let stale: Vec<Option<f64>> = (0..daemon.fleet().slot_count())
+        .map(|s| daemon.window_peak(s))
+        .collect();
+    assert!(stale[slot].unwrap() > 0.0);
+    let zeros = vec![SampleUpdate { slot, watts: 0.0 }; daemon.window()];
+    daemon.ingest_batch(&zeros).unwrap();
+
+    let mut report = OracleReport::new();
+    so_oracles::daemon::check_window_peaks(daemon.fleet(), |s| stale[s], &mut report);
+    assert!(
+        !report.is_clean(),
+        "stale window peak slipped past the oracle"
+    );
+    assert!(report.violations().iter().all(
+        |v| v.family == OracleFamily::Daemon && v.oracle == "cached_window_peaks_match_rescan"
+    ));
+
+    // The daemon's own cache passes the same probe clean.
+    let mut clean = OracleReport::new();
+    so_oracles::daemon::check_daemon_state(&daemon, &mut clean).unwrap();
+    assert!(clean.is_clean(), "{:#?}", clean.violations());
+    assert!(clean.evaluations(OracleFamily::Daemon) > 0);
 }
 
 #[test]

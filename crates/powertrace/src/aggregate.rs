@@ -47,6 +47,31 @@ pub fn peak_of_samples(samples: &[f64]) -> f64 {
     peak
 }
 
+/// The cached peak of a sample vector after one of its samples changes
+/// from `old` to `new`, or `None` when only a rescan can tell.
+///
+/// `peak` must be the vector's [`peak_of_samples`] before the write. The
+/// rule is exact, so the returned value carries the bits a rescan would:
+///
+/// * a strict `new > peak` makes `new` the unique maximum;
+/// * `new < peak && old < peak` leaves every sample equal to the peak in
+///   place, so the peak stays;
+/// * anything else — a tie with the peak, or the overwritten sample was a
+///   peak sample — returns `None`. Ties include signed zeros (`-0.0 ==
+///   0.0`), whose bits only the fold itself settles.
+///
+/// A NaN `peak` (an "unknown" marker) always yields `None`.
+#[must_use]
+pub fn peak_after_write(peak: f64, old: f64, new: f64) -> Option<f64> {
+    if new > peak {
+        Some(new)
+    } else if new < peak && old < peak {
+        Some(peak)
+    } else {
+        None
+    }
+}
+
 /// A power node's aggregate trace, maintained incrementally.
 ///
 /// Internally this is the raw running sum of every added member minus every
@@ -505,5 +530,27 @@ mod tests {
         let t = trace(&[1.0, 7.0, 3.0]);
         assert_eq!(peak_of_samples(t.samples()), t.peak());
         assert_eq!(peak_of_samples(&[]), f64::MIN);
+    }
+
+    #[test]
+    fn peak_after_write_is_exact_or_defers_to_a_rescan() {
+        // Raise, keep, and the three cases only a rescan settles.
+        assert_eq!(peak_after_write(5.0, 1.0, 6.0), Some(6.0));
+        assert_eq!(peak_after_write(5.0, 1.0, 2.0), Some(5.0));
+        assert_eq!(peak_after_write(5.0, 1.0, 5.0), None);
+        assert_eq!(peak_after_write(5.0, 5.0, 2.0), None);
+        assert_eq!(peak_after_write(0.0, 0.0, -0.0), None);
+        assert_eq!(peak_after_write(f64::NAN, 1.0, 9.0), None);
+        // Every `Some` carries the bits of a rescan of the written vector.
+        let mut row = vec![3.0, 5.0, 1.0, 5.0, 2.0];
+        for (i, new) in [(2, 4.0), (1, 0.5), (4, 9.0), (0, 9.0), (4, 1.0)] {
+            let before = peak_of_samples(&row);
+            let old = row[i];
+            row[i] = new;
+            let rescan = peak_of_samples(&row);
+            if let Some(p) = peak_after_write(before, old, new) {
+                assert_eq!(p.to_bits(), rescan.to_bits());
+            }
+        }
     }
 }

@@ -64,7 +64,7 @@ mod slack;
 mod stats;
 mod trace;
 
-pub use aggregate::{peak_of_samples, NodeAggregate};
+pub use aggregate::{peak_after_write, peak_of_samples, NodeAggregate};
 pub use arena::{TraceArena, TraceView, TraceViewMut};
 pub use bands::PercentileBands;
 pub use decompose::SeasonalDecomposition;

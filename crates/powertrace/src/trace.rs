@@ -150,6 +150,30 @@ impl PowerTrace {
         self.samples.get(i).copied()
     }
 
+    /// Overwrites sample `index` with `value` in place.
+    ///
+    /// Enforces the constructor's invariant, so a trace stays valid under
+    /// any sequence of writes: an invalid write returns an error and
+    /// leaves the trace unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::OutOfBounds`] for an index past the end and
+    /// [`TraceError::InvalidSample`] for a NaN, infinite, or negative
+    /// value.
+    pub fn set_sample(&mut self, index: usize, value: f64) -> Result<(), TraceError> {
+        let len = self.samples.len();
+        let slot = self.samples.get_mut(index).ok_or(TraceError::OutOfBounds {
+            requested: index,
+            len,
+        })?;
+        if !value.is_finite() || value < 0.0 {
+            return Err(TraceError::InvalidSample { index, value });
+        }
+        *slot = value;
+        Ok(())
+    }
+
     /// Maximum sample — the trace's *peak power* (the quantity that
     /// provisioning must accommodate).
     pub fn peak(&self) -> f64 {
@@ -500,6 +524,41 @@ mod tests {
             PowerTrace::new(vec![f64::NAN], 10),
             Err(TraceError::InvalidSample { index: 0, .. })
         ));
+    }
+
+    #[test]
+    fn set_sample_writes_in_place() {
+        let mut t = trace(&[1.0, 4.0, 2.0]);
+        t.set_sample(2, 7.5).unwrap();
+        assert_eq!(t.samples(), &[1.0, 4.0, 7.5]);
+        // `-0.0` passes the constructor's check, so it passes here too.
+        t.set_sample(0, -0.0).unwrap();
+        assert_eq!(t.samples()[0].to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn set_sample_rejects_invalid_writes_without_mutating() {
+        let mut t = trace(&[1.0, 4.0, 2.0]);
+        let before: Vec<u64> = t.samples().iter().map(|s| s.to_bits()).collect();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
+            assert_eq!(
+                t.set_sample(1, bad).unwrap_err().to_string(),
+                TraceError::InvalidSample {
+                    index: 1,
+                    value: bad
+                }
+                .to_string()
+            );
+        }
+        assert_eq!(
+            t.set_sample(3, 1.0),
+            Err(TraceError::OutOfBounds {
+                requested: 3,
+                len: 3
+            })
+        );
+        let after: Vec<u64> = t.samples().iter().map(|s| s.to_bits()).collect();
+        assert_eq!(before, after);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use so_powertrace::PowerTrace;
-use so_powertree::{Assignment, Level, NodeAggregates, PowerTopology};
+use so_powertree::{Assignment, Level, NodeAggregates, NodeId, PowerTopology};
 
 fn small_topology() -> PowerTopology {
     PowerTopology::builder()
@@ -25,7 +25,83 @@ fn instance_traces(n: usize, len: usize) -> impl Strategy<Value = Vec<PowerTrace
     })
 }
 
+/// Settles pending `(rack, column)` writes: column-restricted when
+/// `by_column`, else whole-row refreshes of every pending rack.
+fn settle(
+    topo: &PowerTopology,
+    assignment: &Assignment,
+    rows: &[Vec<f64>],
+    agg: &mut NodeAggregates,
+    pending: &mut Vec<(NodeId, usize)>,
+    by_column: bool,
+) {
+    pending.sort_unstable();
+    pending.dedup();
+    let members = |rack: NodeId| {
+        (0..rows.len())
+            .filter(move |&i| assignment.rack_of(i).unwrap() == rack)
+            .map(|i| rows[i].as_slice())
+    };
+    if by_column {
+        for &(rack, column) in pending.iter() {
+            agg.refresh_rack_columns(topo, rack, &[column], members(rack))
+                .unwrap();
+        }
+        agg.refresh_ancestor_columns(topo, pending).unwrap();
+    } else {
+        let mut racks: Vec<NodeId> = pending.iter().map(|&(rack, _)| rack).collect();
+        racks.dedup();
+        for &rack in &racks {
+            agg.refresh_rack(topo, rack, members(rack)).unwrap();
+        }
+        agg.refresh_ancestors(topo, &racks).unwrap();
+    }
+    pending.clear();
+}
+
 proptest! {
+    /// Any interleaving of sample writes settled by column-restricted and
+    /// whole-row refreshes leaves every node's trace and cached peak
+    /// bit-identical to a from-scratch `compute`, and every cached peak
+    /// equal to a rescan. Written values come from a coarse lattice that
+    /// includes zero, so ties with the peak are frequent.
+    #[test]
+    fn column_and_row_refreshes_match_compute(
+        traces in instance_traces(16, 6),
+        writes in prop::collection::vec((0usize..16, 0usize..6, 0u32..9, 0u32..3), 1..40),
+    ) {
+        let topo = small_topology();
+        let assignment = Assignment::round_robin(&topo, 16).unwrap();
+        let mut rows: Vec<Vec<f64>> = traces.iter().map(|t| t.samples().to_vec()).collect();
+        let mut agg = NodeAggregates::compute(&topo, &assignment, &traces).unwrap();
+        let mut pending = Vec::new();
+        for &(i, column, level, settle_mode) in &writes {
+            rows[i][column] = f64::from(level) * 12.5;
+            pending.push((assignment.rack_of(i).unwrap(), column));
+            match settle_mode {
+                0 => settle(&topo, &assignment, &rows, &mut agg, &mut pending, true),
+                1 => settle(&topo, &assignment, &rows, &mut agg, &mut pending, false),
+                _ => {}
+            }
+        }
+        settle(&topo, &assignment, &rows, &mut agg, &mut pending, true);
+
+        let now: Vec<PowerTrace> = rows
+            .iter()
+            .map(|r| PowerTrace::new(r.clone(), 10).unwrap())
+            .collect();
+        let scratch = NodeAggregates::compute(&topo, &assignment, &now).unwrap();
+        for id in topo.nodes().iter().map(|n| n.id()) {
+            let got = agg.trace(id).unwrap();
+            let want = scratch.trace(id).unwrap();
+            for (g, w) in got.samples().iter().zip(want.samples()) {
+                prop_assert_eq!(g.to_bits(), w.to_bits());
+            }
+            prop_assert_eq!(agg.peak(id).unwrap().to_bits(), got.peak().to_bits());
+            prop_assert_eq!(agg.peak(id).unwrap().to_bits(), scratch.peak(id).unwrap().to_bits());
+        }
+    }
+
     /// Root aggregate equals the element-wise sum of all instance traces,
     /// regardless of the assignment.
     #[test]

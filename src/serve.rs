@@ -20,10 +20,12 @@
 //!   `<slot> <watts>` or JSONL `{"slot":N,"watts":W}`. The whole body is
 //!   parsed and validated *before* any state is touched: one malformed
 //!   line rejects the batch with `400` and zero mutation. Valid batches
-//!   land in the per-instance ring-buffer windows and settle each
-//!   touched rack path with one canonical refresh — O(batch + touched
-//!   path), bit-identical to a from-scratch recompute (the `daemon`
-//!   oracle family pins this).
+//!   land in the per-instance ring-buffer windows; then only the touched
+//!   `(rack, column)` pairs and the same columns of their ancestors are
+//!   canonically re-summed in place, with node and window peaks kept
+//!   exact per write — O(batch + touched pairs × fan-in), bit-identical
+//!   to a from-scratch recompute (the `daemon` oracle family pins this,
+//!   window peaks included).
 //! * **Background repair.** The §3.6 differential-score remap runs as a
 //!   repair loop on its own thread, one budgeted pass per interval, each
 //!   pass serialized through the same mutex.
