@@ -133,7 +133,7 @@ impl DriftMonitor {
     }
 }
 
-/// Mirrors a [`DriftReport`] into the installed telemetry sink: one gauge
+/// Mirrors a [`DriftReport`] into the bound telemetry sink: one gauge
 /// triple per level plus observation/recommendation counters. Gauge keys
 /// are unique per level, so repeated observations overwrite rather than
 /// accumulate — the exported values always match the latest report.

@@ -1091,7 +1091,7 @@ impl OnlineFleet {
     /// reference candidate is stranded. Exported as
     /// `so_online_stranded_watts{level}` and
     /// `so_online_fragmentation_ratio{level}` gauges when telemetry is
-    /// installed.
+    /// bound.
     ///
     /// # Errors
     ///
@@ -1115,7 +1115,7 @@ impl OnlineFleet {
     /// path ([`OnlineFleet::fragmentation_cached`]) — one code path, so
     /// the two agree bit-for-bit by construction. `admits` is indexed by
     /// node id and read at racks only. Emits the per-level gauges when
-    /// telemetry is installed.
+    /// telemetry is bound.
     fn fragmentation_from_admits(
         &self,
         mut admits: Vec<bool>,

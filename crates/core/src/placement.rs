@@ -130,7 +130,7 @@ impl SmoothPlacer {
 
     /// Records per-level fragmentation gauges for a finished placement.
     /// Runs the (read-only) analysis only when a telemetry sink is
-    /// installed — the disabled path is a single atomic load.
+    /// bound — the disabled path is a single thread-local read.
     fn record_placement_metrics(
         &self,
         fleet: &Fleet,

@@ -58,7 +58,7 @@
 //! Oracle outcomes accumulate in an [`OracleReport`]; each evaluation also
 //! emits the telemetry counters `so_oracle_evaluations_total` and
 //! `so_oracle_violations_total` (labeled by family) when a telemetry sink
-//! is installed.
+//! is bound.
 //!
 //! # Examples
 //!

@@ -20,6 +20,10 @@
 //! is free, inside [`serial_scope`], or with the `threads` feature
 //! disabled, every helper degenerates to the plain serial loop and
 //! produces the same bits.
+//!
+//! Spawned workers record telemetry into the caller's bound sink
+//! ([`so_telemetry::carry`]), so a scope's snapshot is the same at any
+//! lane count.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -156,11 +160,11 @@ fn run<R: Send>(count: usize, lanes: usize, produce: impl Fn(usize) -> R + Sync)
             let mut windows = windows.into_iter();
             let (first_base, first_window) = windows.next().expect("lanes >= 1");
             for (base, window) in windows {
-                scope.spawn(move || {
+                scope.spawn(so_telemetry::carry(move || {
                     for (offset, slot) in window.iter_mut().enumerate() {
                         *slot = Some(produce(base + offset));
                     }
-                });
+                }));
             }
             // The caller thread works the first window instead of
             // blocking on the join.
@@ -251,11 +255,11 @@ where
                 first = Some((chunk_base, head));
             } else {
                 let base = chunk_base;
-                scope.spawn(move || {
+                scope.spawn(so_telemetry::carry(move || {
                     for (offset, chunk) in head.chunks_mut(chunk_len).enumerate() {
                         f(base + offset, chunk);
                     }
-                });
+                }));
             }
             chunk_base += lane_chunks;
         }

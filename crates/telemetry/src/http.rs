@@ -156,7 +156,8 @@ impl std::fmt::Debug for HttpServer {
 impl HttpServer {
     /// Binds `addr` (e.g. `127.0.0.1:9184`, port 0 for ephemeral) and
     /// serves requests through `handler` from a background thread named
-    /// `thread_name`.
+    /// `thread_name`. The service thread records into the caller's bound
+    /// telemetry sink (see [`crate::carry`]).
     ///
     /// # Errors
     ///
@@ -172,7 +173,9 @@ impl HttpServer {
         let thread_stop = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name(thread_name.to_string())
-            .spawn(move || serve(&listener, &handler, &thread_stop))?;
+            .spawn(crate::carry(move || {
+                serve(&listener, &handler, &thread_stop);
+            }))?;
         Ok(Self {
             addr: local,
             stop,

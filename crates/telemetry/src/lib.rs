@@ -6,14 +6,18 @@
 //! (§3.6). This crate is the reproduction's equivalent nervous system:
 //! every hot path (embedding, k-means, placement recursion, remapping,
 //! the runtime simulator, trace sanitization) reports counters, gauges,
-//! histograms, and timed spans through one process-global
-//! [`TelemetrySink`].
+//! histograms, and timed spans through the [`TelemetrySink`] bound to
+//! the calling thread by [`with_sink`]. The binding is per thread, so
+//! concurrent runs (parallel tests, a daemon next to a batch job) each
+//! see only their own telemetry; threads spawned inside a scope join it
+//! through [`carry`], which `so-parallel` workers and the HTTP service
+//! threads use.
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Zero cost when disabled.** The default sink is [`NoopSink`] and
-//!    no sink is installed; every recording entry point first checks one
-//!    relaxed atomic load ([`enabled`]) and returns without allocating.
+//! 1. **Zero cost when disabled.** No sink is bound by default; every
+//!    recording entry point first checks one thread-local read
+//!    ([`enabled`]) and returns without allocating.
 //!    Placement/remap/simulation outputs are bit-identical whether or not
 //!    the instrumentation code is compiled in.
 //! 2. **Determinism.** A [`RecordingSink`] driven by the
@@ -79,7 +83,7 @@ pub use plane::{FlightDump, LivePlane};
 pub use registry::{Histogram, MetricKey, MetricsRegistry, BUCKET_BOUNDS};
 pub use report::render_report;
 pub use sink::{
-    counter_add, enabled, gauge_set, install, observe, point, uninstall, with_sink, Event,
-    EventKind, FieldValue, NoopSink, RecordingSink, TelemetrySink,
+    carry, counter_add, enabled, gauge_set, observe, point, with_sink, Event, EventKind,
+    FieldValue, NoopSink, RecordingSink, TelemetrySink,
 };
 pub use span::{span, SpanGuard};

@@ -1,7 +1,7 @@
-//! The sink trait, the process-global sink, and the two built-in sinks.
+//! The sink trait, the per-thread sink binding, and the two built-in sinks.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::clock::TelemetryClock;
 use crate::registry::MetricsRegistry;
@@ -59,7 +59,7 @@ pub struct Event {
 /// Destination for telemetry.
 ///
 /// Implementations must be cheap and non-blocking enough to sit on hot
-/// paths; they are called behind the global [`enabled`] check, so the
+/// paths; they are called behind the per-thread [`enabled`] check, so the
 /// disabled path never reaches them. Metric methods may be called from
 /// parallel worker threads — implementations must only rely on
 /// commutative updates (integer adds, fixed-point sums) for cross-thread
@@ -86,9 +86,8 @@ pub trait TelemetrySink: Send + Sync {
     );
 }
 
-/// A sink that drops everything. Installed implicitly when no sink is
-/// installed; every method is an empty inline body, so the compiler
-/// erases the calls entirely.
+/// A sink that drops everything. Every method is an empty inline body,
+/// so the compiler erases the calls entirely.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopSink;
 
@@ -217,67 +216,65 @@ impl TelemetrySink for RecordingSink {
     }
 }
 
-/// Fast-path switch: true only while a sink is installed. Relaxed loads
-/// keep the disabled path at one predictable branch.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// This thread's bound sink; `None` while telemetry is off here.
+    static SINK: RefCell<Option<Arc<dyn TelemetrySink>>> = const { RefCell::new(None) };
+}
 
-/// The installed sink.
-static SINK: RwLock<Option<Arc<dyn TelemetrySink>>> = RwLock::new(None);
-
-/// Serializes [`with_sink`] scopes so concurrently running tests cannot
-/// observe each other's metrics through the process-global sink.
-static SCOPE: Mutex<()> = Mutex::new(());
-
-/// True while a sink is installed. Instrumented call sites check this
-/// before computing labels or values, keeping the disabled path
-/// allocation-free.
+/// True while a sink is bound to this thread. Instrumented call sites
+/// check this before computing labels or values, keeping the disabled
+/// path allocation-free.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    SINK.try_with(|slot| slot.borrow().is_some())
+        .unwrap_or(false)
 }
 
-/// Installs `sink` as the process-global telemetry destination.
-pub fn install(sink: Arc<dyn TelemetrySink>) {
-    let mut slot = SINK.write().unwrap_or_else(PoisonError::into_inner);
-    *slot = Some(sink);
-    ENABLED.store(true, Ordering::Release);
-}
-
-/// Removes and returns the installed sink, disabling telemetry.
-pub fn uninstall() -> Option<Arc<dyn TelemetrySink>> {
-    let mut slot = SINK.write().unwrap_or_else(PoisonError::into_inner);
-    ENABLED.store(false, Ordering::Release);
-    slot.take()
-}
-
-/// Runs `f` with `sink` installed, then restores the previous state —
-/// including when `f` panics. Scopes are serialized process-wide (one
-/// `with_sink` at a time, so parallel tests do not cross-contaminate);
-/// nesting `with_sink` inside `f` therefore deadlocks and is not
-/// supported.
-pub fn with_sink<R>(sink: Arc<dyn TelemetrySink>, f: impl FnOnce() -> R) -> R {
-    struct Restore;
+/// Runs `f` with this thread bound to `sink` (`None` unbinds), then
+/// restores the previous binding — including when `f` panics.
+fn bind<R>(sink: Option<Arc<dyn TelemetrySink>>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Arc<dyn TelemetrySink>>);
     impl Drop for Restore {
         fn drop(&mut self) {
-            uninstall();
+            let previous = self.0.take();
+            // Dropped outside the borrow: the outgoing sink's destructor
+            // may itself record.
+            let _outgoing = SINK.try_with(|slot| slot.replace(previous));
         }
     }
-    let _scope = SCOPE.lock().unwrap_or_else(PoisonError::into_inner);
-    install(sink);
-    let _restore = Restore;
+    let _restore = Restore(SINK.with(|slot| slot.replace(sink)));
     f()
 }
 
-/// Runs `f` against the installed sink, if any.
-pub(crate) fn with_active<R>(f: impl FnOnce(&dyn TelemetrySink) -> R) -> Option<R> {
-    if !enabled() {
-        return None;
-    }
-    let slot = SINK.read().unwrap_or_else(PoisonError::into_inner);
-    slot.as_deref().map(f)
+/// Runs `f` with `sink` bound to the calling thread, then restores the
+/// previous binding — including when `f` panics.
+///
+/// The binding is per thread, so concurrent scopes on different threads
+/// never see each other's telemetry, and scopes nest: an inner
+/// `with_sink` records into its own sink and hands the outer one back
+/// on exit. Threads spawned inside `f` inherit the binding only through
+/// [`carry`].
+pub fn with_sink<R>(sink: Arc<dyn TelemetrySink>, f: impl FnOnce() -> R) -> R {
+    bind(Some(sink), f)
 }
 
-/// Adds `delta` to the named counter on the installed sink.
+/// Wraps `f` to run under the calling thread's current sink binding,
+/// wherever it is later called. Pass the result to a thread spawn so
+/// the new thread's telemetry reaches its spawner's sink:
+/// `std::thread::spawn(so_telemetry::carry(move || work()))`.
+pub fn carry<R>(f: impl FnOnce() -> R) -> impl FnOnce() -> R {
+    let sink = SINK.try_with(|slot| slot.borrow().clone()).ok().flatten();
+    move || bind(sink, f)
+}
+
+/// Runs `f` against this thread's bound sink, if any.
+pub(crate) fn with_active<R>(f: impl FnOnce(&dyn TelemetrySink) -> R) -> Option<R> {
+    SINK.try_with(|slot| slot.borrow().as_deref().map(f))
+        .ok()
+        .flatten()
+}
+
+/// Adds `delta` to the named counter on this thread's bound sink.
 ///
 /// Counters are safe to bump from parallel workers: u64 addition is
 /// commutative, so totals are thread-count independent.
@@ -289,7 +286,7 @@ pub fn counter_add(name: &str, labels: &[(&str, &str)], delta: u64) {
     with_active(|sink| sink.counter_add(name, labels, delta));
 }
 
-/// Sets the named gauge on the installed sink.
+/// Sets the named gauge on this thread's bound sink.
 ///
 /// For deterministic snapshots, set a given gauge key from one serial
 /// point only (distinct keys — e.g. one per tree node — are fine from
@@ -302,7 +299,7 @@ pub fn gauge_set(name: &str, labels: &[(&str, &str)], value: f64) {
     with_active(|sink| sink.gauge_set(name, labels, value));
 }
 
-/// Records a histogram observation on the installed sink.
+/// Records a histogram observation on this thread's bound sink.
 ///
 /// Safe from parallel workers: bucket counts are integer adds and the
 /// sum accumulates in fixed-point micro-units (see
@@ -333,7 +330,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_is_a_noop() {
-        // No sink installed (scoped): nothing panics, nothing records.
+        // No sink bound: nothing panics, nothing records.
         counter_add("so_test_disabled", &[], 1);
         gauge_set("so_test_disabled", &[], 1.0);
         observe("so_test_disabled", &[], 1.0);
@@ -347,7 +344,61 @@ mod tests {
             with_sink(sink, || panic!("boom"));
         });
         assert!(result.is_err());
-        assert!(!enabled(), "panic must not leave the sink installed");
+        assert!(!enabled(), "panic must not leave the sink bound");
+    }
+
+    #[test]
+    fn nested_with_sink_restores_the_outer_sink() {
+        let outer = Arc::new(RecordingSink::with_virtual_clock());
+        let inner = Arc::new(RecordingSink::with_virtual_clock());
+        with_sink(outer.clone(), || {
+            counter_add("so_test_nested_total", &[], 1);
+            with_sink(inner.clone(), || {
+                counter_add("so_test_nested_total", &[], 10)
+            });
+            counter_add("so_test_nested_total", &[], 100);
+        });
+        assert!(!enabled());
+        assert_eq!(outer.snapshot().counter("so_test_nested_total", &[]), 101);
+        assert_eq!(inner.snapshot().counter("so_test_nested_total", &[]), 10);
+    }
+
+    #[test]
+    fn concurrent_scopes_do_not_cross_talk() {
+        // Both threads record inside their scopes at the same time: the
+        // barrier holds each one open until the other has recorded too.
+        let barrier = std::sync::Barrier::new(2);
+        let record = |name: &'static str| {
+            let sink = Arc::new(RecordingSink::with_virtual_clock());
+            with_sink(sink.clone(), || {
+                counter_add(name, &[], 1);
+                barrier.wait();
+                counter_add(name, &[], 1);
+                barrier.wait();
+            });
+            sink.snapshot()
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| record("so_test_thread_a_total"));
+            let b = scope.spawn(|| record("so_test_thread_b_total"));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a.counter("so_test_thread_a_total", &[]), 2);
+        assert_eq!(a.counter("so_test_thread_b_total", &[]), 0);
+        assert_eq!(b.counter("so_test_thread_b_total", &[]), 2);
+        assert_eq!(b.counter("so_test_thread_a_total", &[]), 0);
+    }
+
+    #[test]
+    fn carry_hands_the_binding_to_a_spawned_thread() {
+        let sink = Arc::new(RecordingSink::with_virtual_clock());
+        with_sink(sink.clone(), || {
+            let unbound = std::thread::spawn(|| counter_add("so_test_carry_total", &[], 1));
+            let carried = std::thread::spawn(carry(|| counter_add("so_test_carry_total", &[], 2)));
+            unbound.join().unwrap();
+            carried.join().unwrap();
+        });
+        assert_eq!(sink.snapshot().counter("so_test_carry_total", &[]), 2);
     }
 
     #[test]

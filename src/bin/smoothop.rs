@@ -1,21 +1,12 @@
 //! `smoothop` — command-line front end for the SmoothOperator library.
 //!
-//! ```text
-//! smoothop scenarios                 list the built-in datacenter presets
-//! smoothop breakdown <dc> [n]       per-service power shares (Figure 5)
-//! smoothop place     <dc> [n]       placement vs historical layout (Figure 10)
-//! smoothop pipeline  <dc> [n]       full reshaping pipeline (Figures 12-14)
-//! smoothop report    <dc> [n]       instrumented run + telemetry summary
-//! ```
-//!
-//! `<dc>` is `dc1`, `dc2`, or `dc3`; `n` is the fleet size (default 240).
-//! `--metrics-out <path>` / `--trace-out <path>` attach a recording
-//! telemetry sink to any command and write a Prometheus snapshot / a
-//! JSON-lines event log on exit.
+//! `smoothop help` lists every command and flag; both are declared once,
+//! in [`smoothoperator::cli`].
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use smoothoperator::cli::{self, Args};
 use smoothoperator::prelude::*;
 use so_faults::{FaultKind, FaultSchedule, FaultSpec};
 use so_oracles::{run_battery, BatteryConfig, OracleFamily};
@@ -26,61 +17,9 @@ use so_telemetry::RecordingSink;
 use so_workloads::OfferedLoad;
 
 fn main() -> ExitCode {
-    let (args, flags) = match split_flags(std::env::args().skip(1).collect()) {
-        Ok(split) => split,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let command = args.first().map(String::as_str);
-
-    // A recording sink is attached when any command asked for exported
-    // telemetry, always for `report` (whose output *is* the metrics), and
-    // whenever a plane is served (`--listen`, `serve`): the plane serves
-    // `/metrics` from the same sink the engine gauges land in.
-    let wants_sink = flags.metrics_out.is_some()
-        || flags.trace_out.is_some()
-        || flags.listen.is_some()
-        || command == Some("report")
-        || command == Some("serve");
-    let sink = if wants_sink {
-        let sink = Arc::new(RecordingSink::with_wall_clock());
-        so_telemetry::install(sink.clone());
-        Some(sink)
-    } else {
-        None
-    };
-
-    let faults = &flags.faults;
-    let result = match command {
-        Some("scenarios") => scenarios(),
-        Some("breakdown") => with_scenario(&args, breakdown),
-        Some("place") => with_scenario(&args, place),
-        Some("pipeline") => with_scenario(&args, pipeline),
-        Some("longrun") => with_scenario(&args, longrun),
-        Some("dot") => with_scenario(&args, dot),
-        Some("simulate") => with_scenario(&args, |scenario, n| simulate_cmd(scenario, n, faults)),
-        Some("check") => check_cmd(&args, flags.seed),
-        Some("scale") => scale_cmd(&flags),
-        Some("plan") => plan_cmd(&flags),
-        Some("online") => online_cmd(&flags, sink.as_ref()),
-        Some("serve") => serve_cmd(&flags, sink.as_ref()),
-        Some("daemon") => daemon_cmd(&flags),
-        Some("report") => with_scenario(&args, |scenario, n| {
-            report_cmd(
-                scenario,
-                n,
-                sink.as_ref().expect("report always installs a sink"),
-            )
-        }),
-        Some("help") | None => {
-            print_usage();
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command `{other}` (try `smoothop help`)").into()),
-    };
-    let result = result.and_then(|()| write_telemetry(sink, &flags));
+    let result = cli::parse(std::env::args().skip(1))
+        .map_err(Into::into)
+        .and_then(|args| run(&args));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -90,19 +29,67 @@ fn main() -> ExitCode {
     }
 }
 
-/// Detaches the recording sink (if one was installed) and writes the
-/// requested export files.
-fn write_telemetry(sink: Option<Arc<RecordingSink>>, flags: &CliFlags) -> CliResult {
-    let Some(sink) = sink else {
-        return Ok(());
-    };
-    so_telemetry::uninstall();
-    if let Some(path) = &flags.metrics_out {
+fn run(args: &Args) -> CliResult {
+    if let Some(lanes) = positive(args, "--threads")? {
+        so_parallel::set_thread_limit(lanes);
+    }
+    // A recording sink is bound when any command asked for exported
+    // telemetry, always for `report` (whose output *is* the metrics), and
+    // whenever a plane is served (`--listen`, `serve`): the plane serves
+    // `/metrics` from the same sink the engine gauges land in.
+    let wants_sink = args.has("--metrics-out")
+        || args.has("--trace-out")
+        || args.has("--listen")
+        || matches!(args.command.name, "report" | "serve");
+    if !wants_sink {
+        return dispatch(args, None);
+    }
+    let sink = Arc::new(RecordingSink::with_wall_clock());
+    so_telemetry::with_sink(sink.clone(), || dispatch(args, Some(&sink)))?;
+    write_telemetry(&sink, args)
+}
+
+fn dispatch(args: &Args, sink: Option<&Arc<RecordingSink>>) -> CliResult {
+    match args.command.name {
+        "scenarios" => scenarios(),
+        "breakdown" => with_scenario(args, breakdown),
+        "place" => with_scenario(args, place),
+        "pipeline" => with_scenario(args, pipeline),
+        "longrun" => with_scenario(args, longrun),
+        "dot" => with_scenario(args, dot),
+        "simulate" => {
+            let faults = match args.value("--faults") {
+                Some(raw) => FaultSpec::parse(raw)?,
+                None => FaultSpec::none(),
+            };
+            faults.validate()?;
+            with_scenario(args, |scenario, n| simulate_cmd(scenario, n, &faults))
+        }
+        "check" => check_cmd(args),
+        "scale" => scale_cmd(args),
+        "plan" => plan_cmd(args),
+        "online" => online_cmd(args, sink),
+        "serve" => serve_cmd(args, sink),
+        "daemon" => daemon_cmd(args),
+        "report" => with_scenario(args, |scenario, n| {
+            report_cmd(scenario, n, sink.expect("report always binds a sink"))
+        }),
+        "help" => {
+            print!("{}", cli::usage());
+            Ok(())
+        }
+        other => unreachable!("`{other}` is declared in cli::COMMANDS but has no handler"),
+    }
+}
+
+/// Writes the export files requested for the recorded telemetry.
+fn write_telemetry(sink: &RecordingSink, args: &Args) -> CliResult {
+    if let Some(path) = args.value("--metrics-out") {
         std::fs::write(path, sink.prometheus())
             .map_err(|e| format!("cannot write metrics to `{path}`: {e}"))?;
         eprintln!("wrote Prometheus metrics snapshot to {path}");
     }
-    if let Some(path) = &flags.trace_out {
+    if let Some(path) = args.value("--trace-out") {
         std::fs::write(path, sink.jsonl())
             .map_err(|e| format!("cannot write trace events to `{path}`: {e}"))?;
         eprintln!("wrote JSON-lines span/event log to {path}");
@@ -112,123 +99,33 @@ fn write_telemetry(sink: Option<Arc<RecordingSink>>, flags: &CliFlags) -> CliRes
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
-fn print_usage() {
-    println!("smoothop — SmoothOperator (ASPLOS'18) reproduction CLI");
-    println!();
-    println!("USAGE:");
-    println!("  smoothop scenarios                list the built-in datacenter presets");
-    println!("  smoothop breakdown <dc> [n]       per-service power shares (Figure 5)");
-    println!("  smoothop place     <dc> [n]       placement vs historical layout (Figure 10)");
-    println!("  smoothop pipeline  <dc> [n]       full reshaping pipeline (Figures 12-14)");
-    println!("  smoothop longrun   <dc> [n]       weeks of drift + monitored remapping");
-    println!("  smoothop dot       <dc> [n]       graphviz dot of the placed topology");
-    println!("  smoothop simulate  <dc> [n]       one week of runtime reshaping");
-    println!("  smoothop report    <dc> [n]       instrumented place+drift+remap+simulate run,");
-    println!("                                    printed as a telemetry summary");
-    println!("  smoothop check     [n]            seeded correctness-oracle battery (invariant,");
-    println!("                                    differential, metamorphic, arena, online,");
-    println!("                                    observability, daemon, plan); n defaults");
-    println!("                                    to 1000");
-    println!("  smoothop scale                    columnar scale ladder; writes BENCH_scale.json");
-    println!("  smoothop plan                     capacity-planning sweep: racks of extra");
-    println!("                                    workload that fit under one MSB budget at each");
-    println!("                                    overbooking allowance δ, StatProf vs");
-    println!("                                    SmoothOperator provisioning, web vs LLM mixes;");
-    println!("                                    writes BENCH_plan.json");
-    println!("  smoothop online                   online arrival/departure rung: streams batches");
-    println!("                                    through the resident engine and compares the");
-    println!("                                    churned placement against a one-pass offline");
-    println!("                                    re-placement; writes BENCH_online.json and,");
-    println!("                                    with --watch-out, a JSONL stream of per-batch");
-    println!("                                    heartbeats, alert transitions, and");
-    println!("                                    flight-recorder dumps");
-    println!(
-        "  smoothop serve                    smoothopd: resident placement daemon — streaming"
-    );
-    println!("                                    sample ingest into per-instance ring buffers,");
-    println!("                                    live headroom/asynchrony/what-if queries, and");
-    println!("                                    a background repair loop, over one HTTP port");
-    println!(
-        "  smoothop daemon                   daemon load rung: streams sample batches through"
-    );
-    println!("                                    the in-process ingest path and writes");
-    println!("                                    BENCH_daemon.json with throughput + latency");
-    println!("                                    quantiles");
-    println!();
-    println!("  <dc> ∈ {{dc1, dc2, dc3}}; n = fleet size, default 240");
-    println!();
-    println!("OPTIONS:");
-    println!("  --faults <spec>       inject faults into `simulate`; <spec> is comma-separated");
-    println!("                        key=value pairs (seed, dropout, stuck, crash, trips,");
-    println!("                        mean-steps, trip-steps, trip-severity), or `none`.");
-    println!("                        Example: --faults seed=7,dropout=0.2,trips=1");
-    println!("  --metrics-out <path>  write a Prometheus text snapshot of all metrics");
-    println!("                        recorded during the command");
-    println!("  --trace-out <path>    write the recorded span/point events as JSON lines");
-    println!("  --seed <u64>          battery seed for `check` (default 7); the seed picks the");
-    println!("                        scenario and drives every randomized probe");
-    println!("  --instances <list>    comma-separated ladder for `scale` (default");
-    println!("                        10000,100000,1000000) and `online` (default 10000,100000)");
-    println!("  --out <path>          output path for `scale` / `online` (defaults");
-    println!("                        BENCH_scale.json / BENCH_online.json)");
-    println!("  --quantiles <mode>    quantile phase for `scale`: `exact` (selection, the");
-    println!("                        default, bit-reproducible) or `sketch` (streaming P²,");
-    println!("                        approximate); `--exact` / `--sketch` are shorthands");
-    println!("  --chunk-rows <n>      rows per streaming chunk for `scale` (0 = default;");
-    println!("                        rounded up to a multiple of the group size; never");
-    println!("                        changes checksums)");
-    println!("  --workload <name>     waveform family for `scale`: `diurnal` (default) or");
-    println!("                        `llm` (token-bursty, correlated 30-min bursts)");
-    println!("  --base <n>            `plan` only: instances of the existing base fleet");
-    println!("                        (default 50000)");
-    println!("  --racks <n>           `plan` only: sweep depth in candidate racks of 12");
-    println!("                        slots each (default 2560)");
-    println!("  --deltas <list>       `plan` only: comma-separated overbooking allowances,");
-    println!("                        strictly ascending (default 0,0.05,0.10)");
-    println!("  --workloads <list>    `plan` only: comma-separated candidate mixes from");
-    println!("                        {{web-mix, llm-mix}} (default both)");
-    println!("  --budget <watts>      `plan` only: explicit MSB budget; by default the base");
-    println!("                        fleet's StatProf requirement plus 10% headroom");
-    println!("  --batches <n>         event batches for `online` (default 8)");
-    println!("  --probes <n>          candidate racks sampled per arrival for `online`");
-    println!("                        (default 64)");
-    println!("  --repair <n>          repair swaps allowed per between-batch pass for");
-    println!("                        `online` (default 8; 0 disables repair)");
-    println!("  --threads <n>         thread-lane budget for the parallel kernels");
-    println!("  --listen <addr>       serve /metrics /health /alerts /flight?n=K over HTTP");
-    println!("                        while `online` runs (e.g. 127.0.0.1:9184);");
-    println!("                        for `serve` this is the daemon's port (default");
-    println!("                        127.0.0.1:0, an ephemeral port announced on stdout)");
-    println!("  --repair-interval-ms <n>  `serve` only: run one budgeted repair pass every");
-    println!("                        n milliseconds in the background (0, the default,");
-    println!("                        repairs only on explicit POST /repair)");
-    println!("  --ttl-ms <n>          `serve` only: auto-shutdown after n milliseconds");
-    println!("                        (safety net for CI smoke jobs; default: run until");
-    println!("                        POST /shutdown)");
-    println!("  --watch-out <path>    `online` only: write the JSONL stream (heartbeats,");
-    println!("                        alerts, flight dumps, one summary per point) to a file");
-    println!("  --flight-out <path>   dump the full flight-recorder ring as JSONL on exit");
-    println!("                        (`online` or `serve`)");
-    println!("  --flight-capacity <n> flight-recorder ring capacity (default 4096)");
-    println!("  --plant-violation     `online` only: inject one oversized arrival mid-run to");
-    println!("                        force a breaker-budget violation, alert, and dump");
+/// The value of a count flag that must be at least 1, if given.
+fn positive(args: &Args, flag: &str) -> Result<Option<usize>, String> {
+    match args.get(flag)? {
+        Some(0) => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
 }
 
-/// `smoothop check [n] [--seed s]`: run the seeded oracle battery and fail
-/// the process on any violation.
-fn check_cmd(args: &[String], seed: Option<u64>) -> CliResult {
-    let instances: usize = match args.get(1) {
+/// The optional fleet-size positional at `index`, `default` when absent.
+fn fleet_size(args: &Args, index: usize, default: usize) -> Result<usize, String> {
+    let n = match args.positionals.get(index) {
         Some(raw) => raw
             .parse()
             .map_err(|_| format!("fleet size `{raw}` is not a number"))?,
-        None => 1000,
+        None => default,
     };
-    if instances == 0 {
+    if n == 0 {
         return Err("fleet size must be positive".into());
     }
+    Ok(n)
+}
+
+/// Runs the seeded oracle battery and fails the process on any violation.
+fn check_cmd(args: &Args) -> CliResult {
     let config = BatteryConfig {
-        seed: seed.unwrap_or(7),
-        instances,
+        seed: args.get("--seed")?.unwrap_or(7),
+        instances: fleet_size(args, 0, 1000)?,
     };
     let outcome = run_battery(&config)?;
     println!(
@@ -257,25 +154,25 @@ fn check_cmd(args: &[String], seed: Option<u64>) -> CliResult {
     }
 }
 
-/// `smoothop scale [--instances n1,n2,...] [--out path] [--quantiles
-/// exact|sketch] [--chunk-rows n]`: run the columnar scale ladder and
-/// write the `BENCH_scale.json` artifact.
-fn scale_cmd(flags: &CliFlags) -> CliResult {
-    use smoothoperator::scale::{run_scale, ScaleConfig};
+/// Runs the columnar scale ladder and writes `BENCH_scale.json`.
+fn scale_cmd(args: &Args) -> CliResult {
+    use smoothoperator::scale::{run_scale, QuantileMode, ScaleConfig, ScaleWorkload};
 
     let mut config = ScaleConfig::default();
-    if let Some(seed) = flags.seed {
-        config.seed = seed;
+    args.set("--seed", &mut config.seed)?;
+    if let Some(instances) = args.list("--instances")? {
+        config.instances = instances;
     }
-    if let Some(raw) = &flags.instances {
-        config.instances = parse_list(raw, "instance count")?;
+    if let Some(raw) = args.value("--quantiles") {
+        config.quantile_mode = QuantileMode::parse(raw)
+            .ok_or_else(|| format!("--quantiles must be `exact` or `sketch`, got `{raw}`"))?;
     }
-    config.quantile_mode = flags.quantile_mode;
-    config.workload = flags.scale_workload;
-    if let Some(chunk_rows) = flags.chunk_rows {
-        config.chunk_rows = chunk_rows;
+    if let Some(raw) = args.value("--workload") {
+        config.workload = ScaleWorkload::parse(raw)
+            .ok_or_else(|| format!("--workload must be `diurnal` or `llm`, got `{raw}`"))?;
     }
-    let path = flags.out.as_deref().unwrap_or("BENCH_scale.json");
+    args.set("--chunk-rows", &mut config.chunk_rows)?;
+    let path = args.value("--out").unwrap_or("BENCH_scale.json");
 
     println!(
         "scale ladder — {} points, {} {} samples/trace, groups of {}, seed {}, {} quantiles, {} rows/chunk, {} thread lane(s)",
@@ -316,26 +213,18 @@ fn scale_cmd(flags: &CliFlags) -> CliResult {
     Ok(())
 }
 
-/// `smoothop plan [--base n] [--racks n] [--deltas d1,d2,...]
-/// [--workloads w1,w2] [--budget w] [--seed s] [--out path]`: run the
-/// capacity-planning sweep and write the `BENCH_plan.json` artifact.
-fn plan_cmd(flags: &CliFlags) -> CliResult {
+/// Runs the capacity-planning sweep and writes `BENCH_plan.json`.
+fn plan_cmd(args: &Args) -> CliResult {
     use smoothoperator::plan::{run_plan, PlanConfig, PlanWorkload, PLAN_HEADROOM};
 
     let mut config = PlanConfig::default();
-    if let Some(seed) = flags.seed {
-        config.seed = seed;
+    args.set("--seed", &mut config.seed)?;
+    args.set("--base", &mut config.base_instances)?;
+    args.set("--racks", &mut config.max_racks)?;
+    if let Some(deltas) = args.list("--deltas")? {
+        config.deltas = deltas;
     }
-    if let Some(base) = flags.base {
-        config.base_instances = base;
-    }
-    if let Some(racks) = flags.racks {
-        config.max_racks = racks;
-    }
-    if let Some(raw) = &flags.deltas {
-        config.deltas = parse_list(raw, "delta")?;
-    }
-    if let Some(raw) = &flags.workloads {
+    if let Some(raw) = args.value("--workloads") {
         config.workloads = raw
             .split(',')
             .map(|part| {
@@ -344,10 +233,8 @@ fn plan_cmd(flags: &CliFlags) -> CliResult {
             })
             .collect::<Result<Vec<PlanWorkload>, String>>()?;
     }
-    if let Some(budget) = flags.budget {
-        config.budget_watts = budget;
-    }
-    let path = flags.out.as_deref().unwrap_or("BENCH_plan.json");
+    args.set("--budget", &mut config.budget_watts)?;
+    let path = args.value("--out").unwrap_or("BENCH_plan.json");
 
     println!(
         "capacity plan — base {} instances, up to {} racks × {} slots, seed {}, {} thread lane(s)",
@@ -398,61 +285,46 @@ fn plan_cmd(flags: &CliFlags) -> CliResult {
 }
 
 /// Builds the live plane for `online` and `serve` sessions over the
-/// process-global recording sink (so engine gauges land on `/metrics`).
-fn live_plane(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> Arc<so_telemetry::LivePlane> {
+/// bound recording sink (so engine gauges land on `/metrics`).
+fn live_plane(capacity: usize, sink: Option<&Arc<RecordingSink>>) -> Arc<so_telemetry::LivePlane> {
     let sink = sink
         .cloned()
         .unwrap_or_else(|| Arc::new(RecordingSink::with_wall_clock()));
     Arc::new(so_telemetry::LivePlane::new(
         sink,
-        flags.flight_capacity.unwrap_or(4_096),
+        capacity,
         so_telemetry::default_online_rules(),
     ))
 }
 
-/// Parses a comma-separated flag value; `what` names one element in the
-/// error for a part that does not parse.
-fn parse_list<T: std::str::FromStr>(raw: &str, what: &str) -> Result<Vec<T>, String> {
-    raw.split(',')
-        .map(|part| {
-            let part = part.trim();
-            part.parse()
-                .map_err(|_| format!("{what} `{part}` is not a number"))
-        })
-        .collect()
+/// The flight-recorder ring capacity, `--flight-capacity` or 4096.
+fn flight_capacity(args: &Args) -> Result<usize, String> {
+    Ok(positive(args, "--flight-capacity")?.unwrap_or(4_096))
 }
 
-/// `smoothop online [--instances n1,n2,...] [--seed s] [--out path]
-/// [--listen addr] [--watch-out path] [--flight-out path]
-/// [--plant-violation]`: run the online arrival/departure rung and write
+/// Runs the online arrival/departure rung and writes
 /// `BENCH_online.json`. Any of the live flags attaches an observability
 /// plane: `--listen` serves it over HTTP while the rung runs,
 /// `--watch-out` writes the rung's JSONL stream, and `--flight-out`
 /// dumps its flight ring on exit.
-fn online_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult {
+fn online_cmd(args: &Args, sink: Option<&Arc<RecordingSink>>) -> CliResult {
     use smoothoperator::scale::{run_online_scale, OnlineScaleConfig};
 
     let mut config = OnlineScaleConfig::default();
-    if let Some(seed) = flags.seed {
-        config.seed = seed;
+    args.set("--seed", &mut config.seed)?;
+    if let Some(instances) = args.list("--instances")? {
+        config.instances = instances;
     }
-    if let Some(raw) = &flags.instances {
-        config.instances = parse_list(raw, "instance count")?;
-    }
-    if let Some(batches) = flags.batches {
-        config.batches = batches;
-    }
-    if let Some(probes) = flags.probes {
-        config.sample_probes = probes;
-    }
-    if let Some(repair) = flags.repair {
-        config.repair_budget = repair;
-    }
-    config.plant_violation = flags.plant_violation;
-    let path = flags.out.as_deref().unwrap_or("BENCH_online.json");
-    let live = flags.listen.is_some() || flags.watch_out.is_some() || flags.flight_out.is_some();
-    let plane = live.then(|| live_plane(flags, sink));
-    let server = match (&flags.listen, &plane) {
+    args.set("--batches", &mut config.batches)?;
+    args.set("--probes", &mut config.sample_probes)?;
+    args.set("--repair", &mut config.repair_budget)?;
+    config.plant_violation = args.has("--plant-violation");
+    let path = args.value("--out").unwrap_or("BENCH_online.json");
+    let capacity = flight_capacity(args)?;
+    let watch_out = args.value("--watch-out");
+    let live = args.has("--listen") || watch_out.is_some() || args.has("--flight-out");
+    let plane = live.then(|| live_plane(capacity, sink));
+    let server = match (args.value("--listen"), &plane) {
         (Some(addr), Some(plane)) => {
             let server = so_telemetry::MetricsServer::spawn(addr, plane.clone())
                 .map_err(|e| format!("cannot listen on `{addr}`: {e}"))?;
@@ -490,7 +362,7 @@ fn online_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult 
     );
     let mut stream = String::new();
     let report = run_online_scale(&config, plane.clone(), |line| {
-        if flags.watch_out.is_some() {
+        if watch_out.is_some() {
             stream.push_str(line);
             stream.push('\n');
         }
@@ -516,7 +388,7 @@ fn online_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult 
             p.alerts_fired,
         );
     }
-    if let Some(path) = &flags.watch_out {
+    if let Some(path) = watch_out {
         std::fs::write(path, &stream).map_err(|e| format!("cannot write `{path}`: {e}"))?;
         eprintln!(
             "wrote online JSONL stream to {path} ({} bytes)",
@@ -524,7 +396,7 @@ fn online_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult 
         );
     }
     if let Some(plane) = &plane {
-        write_flight(flags, plane)?;
+        write_flight(args, plane)?;
     }
     let json = report.to_json();
     std::fs::write(path, &json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
@@ -532,37 +404,21 @@ fn online_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult 
     Ok(())
 }
 
-/// `smoothop serve [--listen addr] [--instances n] [--seed s]
-/// [--probes p] [--repair b] [--repair-interval-ms n] [--ttl-ms n]`:
-/// run the resident placement daemon until `POST /shutdown` (or the
+/// Runs the resident placement daemon until `POST /shutdown` (or the
 /// TTL), serving ingest, queries, and the scrape surface on one port.
-fn serve_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult {
+fn serve_cmd(args: &Args, sink: Option<&Arc<RecordingSink>>) -> CliResult {
     use smoothoperator::serve::{run_serve, ServeConfig};
 
     let mut config = ServeConfig::default();
-    if let Some(addr) = &flags.listen {
-        config.listen = addr.clone();
-    }
-    if let Some(seed) = flags.seed {
-        config.seed = seed;
-    }
-    if let Some(raw) = &flags.instances {
-        // Serve hosts one resident fleet, not a ladder: take the first.
-        let first = raw.split(',').next().unwrap_or(raw);
-        config.instances = parse_list(first, "instance count")?[0];
-    }
-    if let Some(probes) = flags.probes {
-        config.sample_probes = probes;
-    }
-    if let Some(repair) = flags.repair {
-        config.repair_budget = repair;
-    }
-    if let Some(interval) = flags.repair_interval_ms {
-        config.repair_interval_ms = interval;
-    }
-    config.ttl_ms = flags.ttl_ms;
+    args.set("--listen", &mut config.listen)?;
+    args.set("--seed", &mut config.seed)?;
+    args.set("--instances", &mut config.instances)?;
+    args.set("--probes", &mut config.sample_probes)?;
+    args.set("--repair", &mut config.repair_budget)?;
+    args.set("--repair-interval-ms", &mut config.repair_interval_ms)?;
+    config.ttl_ms = args.get("--ttl-ms")?;
 
-    let plane = live_plane(flags, sink);
+    let plane = live_plane(flight_capacity(args)?, sink);
     eprintln!(
         "smoothopd — {} instances resident, window {}, repair budget {} every {}ms, seed {}",
         config.instances,
@@ -574,7 +430,7 @@ fn serve_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult {
     // The announce line goes to stdout so scripts can parse the bound
     // (possibly ephemeral) address without scraping stderr.
     let outcome = run_serve(&config, plane.clone(), |line| println!("{line}"))?;
-    write_flight(flags, &plane)?;
+    write_flight(args, &plane)?;
     eprintln!(
         "smoothopd done — {} batches / {} samples ingested ({} dropped), {} live, {} committed, {} rejected, {} retired, {} repair pass(es)",
         outcome.batches_ingested,
@@ -589,29 +445,20 @@ fn serve_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult {
     Ok(())
 }
 
-/// `smoothop daemon [--instances n1,n2,...] [--seed s] [--out path]`:
-/// run the daemon ingest load rung and write `BENCH_daemon.json`.
-fn daemon_cmd(flags: &CliFlags) -> CliResult {
+/// Runs the daemon ingest load rung and writes `BENCH_daemon.json`.
+fn daemon_cmd(args: &Args) -> CliResult {
     use smoothoperator::serve::{run_daemon_scale, DaemonScaleConfig};
 
     let mut config = DaemonScaleConfig::default();
-    if let Some(seed) = flags.seed {
-        config.seed = seed;
+    args.set("--seed", &mut config.seed)?;
+    if let Some(instances) = args.list("--instances")? {
+        config.instances = instances;
     }
-    if let Some(raw) = &flags.instances {
-        config.instances = parse_list(raw, "instance count")?;
-    }
-    if let Some(sweeps) = flags.batches {
-        // The daemon rung's unit of work is one full fleet sweep.
-        config.sweeps = sweeps;
-    }
-    if let Some(probes) = flags.probes {
-        config.sample_probes = probes;
-    }
-    if let Some(repair) = flags.repair {
-        config.repair_budget = repair;
-    }
-    let path = flags.out.as_deref().unwrap_or("BENCH_daemon.json");
+    // The daemon rung's unit of work is one full fleet sweep.
+    args.set("--batches", &mut config.sweeps)?;
+    args.set("--probes", &mut config.sample_probes)?;
+    args.set("--repair", &mut config.repair_budget)?;
+    let path = args.value("--out").unwrap_or("BENCH_daemon.json");
 
     println!(
         "daemon rung — {} points, {} sweeps of {}-slot batches, {} samples/window, seed {}, {} thread lane(s)",
@@ -653,8 +500,8 @@ fn daemon_cmd(flags: &CliFlags) -> CliResult {
 
 /// Writes the plane's full flight ring as JSONL when `--flight-out` was
 /// requested.
-fn write_flight(flags: &CliFlags, plane: &so_telemetry::LivePlane) -> CliResult {
-    let Some(path) = &flags.flight_out else {
+fn write_flight(args: &Args, plane: &so_telemetry::LivePlane) -> CliResult {
+    let Some(path) = args.value("--flight-out") else {
         return Ok(());
     };
     let jsonl = plane.flight_jsonl(0);
@@ -666,9 +513,10 @@ fn write_flight(flags: &CliFlags, plane: &so_telemetry::LivePlane) -> CliResult 
     Ok(())
 }
 
-fn with_scenario(args: &[String], f: impl FnOnce(DcScenario, usize) -> CliResult) -> CliResult {
+fn with_scenario(args: &Args, f: impl FnOnce(DcScenario, usize) -> CliResult) -> CliResult {
     let dc = args
-        .get(1)
+        .positionals
+        .first()
         .ok_or("missing datacenter argument (dc1|dc2|dc3)")?;
     let scenario = match dc.as_str() {
         "dc1" | "DC1" => DcScenario::dc1(),
@@ -676,195 +524,7 @@ fn with_scenario(args: &[String], f: impl FnOnce(DcScenario, usize) -> CliResult
         "dc3" | "DC3" => DcScenario::dc3(),
         other => return Err(format!("unknown datacenter `{other}` (dc1|dc2|dc3)").into()),
     };
-    let n: usize = match args.get(2) {
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("fleet size `{raw}` is not a number"))?,
-        None => 240,
-    };
-    if n == 0 {
-        return Err("fleet size must be positive".into());
-    }
-    f(scenario, n)
-}
-
-/// Global flags shared by every subcommand.
-struct CliFlags {
-    faults: FaultSpec,
-    metrics_out: Option<String>,
-    trace_out: Option<String>,
-    seed: Option<u64>,
-    instances: Option<String>,
-    out: Option<String>,
-    quantile_mode: smoothoperator::scale::QuantileMode,
-    scale_workload: smoothoperator::scale::ScaleWorkload,
-    chunk_rows: Option<usize>,
-    base: Option<usize>,
-    racks: Option<usize>,
-    deltas: Option<String>,
-    workloads: Option<String>,
-    budget: Option<f64>,
-    batches: Option<usize>,
-    probes: Option<usize>,
-    repair: Option<usize>,
-    listen: Option<String>,
-    watch_out: Option<String>,
-    flight_out: Option<String>,
-    flight_capacity: Option<usize>,
-    plant_violation: bool,
-    repair_interval_ms: Option<u64>,
-    ttl_ms: Option<u64>,
-}
-
-/// Extracts `--faults`, `--metrics-out`, and `--trace-out` (in both
-/// `--flag value` and `--flag=value` spellings) from the argument list,
-/// returning the remaining positional arguments and the parsed flags.
-fn split_flags(args: Vec<String>) -> Result<(Vec<String>, CliFlags), String> {
-    let mut positional = Vec::with_capacity(args.len());
-    let mut flags = CliFlags {
-        faults: FaultSpec::none(),
-        metrics_out: None,
-        trace_out: None,
-        seed: None,
-        instances: None,
-        out: None,
-        quantile_mode: smoothoperator::scale::QuantileMode::Exact,
-        scale_workload: smoothoperator::scale::ScaleWorkload::Diurnal,
-        chunk_rows: None,
-        base: None,
-        racks: None,
-        deltas: None,
-        workloads: None,
-        budget: None,
-        batches: None,
-        probes: None,
-        repair: None,
-        listen: None,
-        watch_out: None,
-        flight_out: None,
-        flight_capacity: None,
-        plant_violation: false,
-        repair_interval_ms: None,
-        ttl_ms: None,
-    };
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        let value_of = |flag: &str, arg: &str, iter: &mut dyn Iterator<Item = String>| {
-            if arg == flag {
-                iter.next()
-                    .ok_or_else(|| format!("{flag} requires a value"))
-                    .map(Some)
-            } else if let Some(rest) = arg.strip_prefix(&format!("{flag}=")) {
-                Ok(Some(rest.to_string()))
-            } else {
-                Ok(None)
-            }
-        };
-        if let Some(raw) = value_of("--faults", &arg, &mut iter)? {
-            let spec = FaultSpec::parse(&raw).map_err(|e| e.to_string())?;
-            spec.validate().map_err(|e| e.to_string())?;
-            flags.faults = spec;
-        } else if let Some(path) = value_of("--metrics-out", &arg, &mut iter)? {
-            flags.metrics_out = Some(path);
-        } else if let Some(path) = value_of("--trace-out", &arg, &mut iter)? {
-            flags.trace_out = Some(path);
-        } else if let Some(raw) = value_of("--seed", &arg, &mut iter)? {
-            flags.seed = Some(
-                raw.parse()
-                    .map_err(|_| format!("seed `{raw}` is not a number"))?,
-            );
-        } else if let Some(raw) = value_of("--instances", &arg, &mut iter)? {
-            flags.instances = Some(raw);
-        } else if let Some(path) = value_of("--out", &arg, &mut iter)? {
-            flags.out = Some(path);
-        } else if let Some(raw) = value_of("--quantiles", &arg, &mut iter)? {
-            flags.quantile_mode = smoothoperator::scale::QuantileMode::parse(&raw)
-                .ok_or_else(|| format!("--quantiles must be `exact` or `sketch`, got `{raw}`"))?;
-        } else if arg == "--exact" {
-            flags.quantile_mode = smoothoperator::scale::QuantileMode::Exact;
-        } else if arg == "--sketch" {
-            flags.quantile_mode = smoothoperator::scale::QuantileMode::Sketch;
-        } else if let Some(raw) = value_of("--chunk-rows", &arg, &mut iter)? {
-            flags.chunk_rows = Some(
-                raw.parse()
-                    .map_err(|_| format!("chunk rows `{raw}` is not a number"))?,
-            );
-        } else if let Some(raw) = value_of("--workload", &arg, &mut iter)? {
-            flags.scale_workload = smoothoperator::scale::ScaleWorkload::parse(&raw)
-                .ok_or_else(|| format!("--workload must be `diurnal` or `llm`, got `{raw}`"))?;
-        } else if let Some(raw) = value_of("--base", &arg, &mut iter)? {
-            flags.base = Some(
-                raw.parse()
-                    .map_err(|_| format!("base fleet size `{raw}` is not a number"))?,
-            );
-        } else if let Some(raw) = value_of("--racks", &arg, &mut iter)? {
-            flags.racks = Some(
-                raw.parse()
-                    .map_err(|_| format!("rack count `{raw}` is not a number"))?,
-            );
-        } else if let Some(raw) = value_of("--deltas", &arg, &mut iter)? {
-            flags.deltas = Some(raw);
-        } else if let Some(raw) = value_of("--workloads", &arg, &mut iter)? {
-            flags.workloads = Some(raw);
-        } else if let Some(raw) = value_of("--budget", &arg, &mut iter)? {
-            flags.budget = Some(
-                raw.parse()
-                    .map_err(|_| format!("budget `{raw}` is not a number"))?,
-            );
-        } else if let Some(raw) = value_of("--batches", &arg, &mut iter)? {
-            let batches: usize = raw
-                .parse()
-                .map_err(|_| format!("batch count `{raw}` is not a number"))?;
-            flags.batches = Some(batches);
-        } else if let Some(raw) = value_of("--probes", &arg, &mut iter)? {
-            let probes: usize = raw
-                .parse()
-                .map_err(|_| format!("probe count `{raw}` is not a number"))?;
-            flags.probes = Some(probes);
-        } else if let Some(raw) = value_of("--repair", &arg, &mut iter)? {
-            let repair: usize = raw
-                .parse()
-                .map_err(|_| format!("repair budget `{raw}` is not a number"))?;
-            flags.repair = Some(repair);
-        } else if let Some(addr) = value_of("--listen", &arg, &mut iter)? {
-            flags.listen = Some(addr);
-        } else if let Some(path) = value_of("--watch-out", &arg, &mut iter)? {
-            flags.watch_out = Some(path);
-        } else if let Some(path) = value_of("--flight-out", &arg, &mut iter)? {
-            flags.flight_out = Some(path);
-        } else if let Some(raw) = value_of("--flight-capacity", &arg, &mut iter)? {
-            let cap: usize = raw
-                .parse()
-                .map_err(|_| format!("flight capacity `{raw}` is not a number"))?;
-            if cap == 0 {
-                return Err("--flight-capacity must be at least 1".to_string());
-            }
-            flags.flight_capacity = Some(cap);
-        } else if arg == "--plant-violation" {
-            flags.plant_violation = true;
-        } else if let Some(raw) = value_of("--repair-interval-ms", &arg, &mut iter)? {
-            let interval: u64 = raw
-                .parse()
-                .map_err(|_| format!("repair interval `{raw}` is not a number"))?;
-            flags.repair_interval_ms = Some(interval);
-        } else if let Some(raw) = value_of("--ttl-ms", &arg, &mut iter)? {
-            let ttl: u64 = raw
-                .parse()
-                .map_err(|_| format!("ttl `{raw}` is not a number"))?;
-            flags.ttl_ms = Some(ttl);
-        } else if let Some(raw) = value_of("--threads", &arg, &mut iter)? {
-            let lanes: usize = raw
-                .parse()
-                .map_err(|_| format!("thread count `{raw}` is not a number"))?;
-            if lanes == 0 {
-                return Err("--threads must be at least 1".to_string());
-            }
-            so_parallel::set_thread_limit(lanes);
-        } else {
-            positional.push(arg);
-        }
-    }
-    Ok((positional, flags))
+    f(scenario, fleet_size(args, 1, 240)?)
 }
 
 fn simulate_cmd(scenario: DcScenario, n: usize, faults: &FaultSpec) -> CliResult {

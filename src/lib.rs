@@ -111,6 +111,10 @@ pub mod plan;
 /// the `BENCH_daemon.json` load rung.
 pub mod serve;
 
+/// The `smoothop` command-line grammar: the command and flag tables
+/// behind parsing and `smoothop help`.
+pub mod cli;
+
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use so_baselines::{

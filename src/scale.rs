@@ -515,8 +515,8 @@ pub(crate) const ONLINE_RACK_BUDGET_WATTS: f64 = 3_600.0;
 
 /// Online-rung parameters. The defaults match the committed
 /// `BENCH_online.json` ladder: 10k → 100k instances streamed through the
-/// resident [`OnlineFleet`] engine in churning batches, then re-placed
-/// from scratch as the offline comparator.
+/// resident [`OnlineFleet`] engine in churning batches, then replayed
+/// churn-free through a fresh engine as the comparator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OnlineScaleConfig {
     /// Target fleet sizes, in order. Each becomes one report point.
@@ -555,8 +555,8 @@ impl Default for OnlineScaleConfig {
 }
 
 /// One online-rung point: phase timings plus the deterministic quality
-/// metrics comparing the churned online placement against a one-pass
-/// offline re-placement of the same final fleet.
+/// metrics comparing the churned online placement against a churn-free
+/// greedy replay of the same final fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineScalePoint {
     /// Target fleet size of this point.
@@ -589,12 +589,12 @@ pub struct OnlineScalePoint {
     pub peak_rss_bytes: Option<u64>,
     /// Mean per-rack asynchrony of the churned online placement.
     pub online_mean_asynchrony: f64,
-    /// Mean per-rack asynchrony after re-placing the same final fleet in
-    /// one offline pass (no churn holes).
+    /// Mean per-rack asynchrony of the churn-free greedy replay of the
+    /// same final fleet (JSON field name kept as `offline_*`).
     pub offline_mean_asynchrony: f64,
     /// Worst rack headroom of the online placement, watts.
     pub online_min_rack_headroom_watts: f64,
-    /// Worst rack headroom of the offline re-placement, watts.
+    /// Worst rack headroom of the churn-free greedy replay, watts.
     pub offline_min_rack_headroom_watts: f64,
     /// Rack-level stranded-headroom ratio of the online placement against
     /// a 40 %-of-rack-budget reference job.
@@ -859,9 +859,9 @@ fn run_online_point(
         .and_then(|levels| levels.into_iter().find(|f| f.level == Level::Rack))
         .map_or(0.0, |f| f.ratio);
 
-    // Offline comparator: the same final fleet re-placed from scratch in
-    // one pass by a fresh engine — what the placement would look like
-    // with perfect foresight and no churn holes.
+    // Comparator: a churn-free greedy replay — the same final fleet
+    // arrived one by one into a fresh engine with the same policy. It
+    // isolates what churn costs this engine; it is not §3.5 placement.
     let t0 = Instant::now();
     let (final_traces, _, _) = engine.live_view()?;
     let mut offline = OnlineFleet::new(topology, grid, engine_config);

@@ -206,7 +206,7 @@ pub fn run_serve(
         let stop = Arc::clone(&stop);
         let passes = Arc::clone(&repair_passes);
         let interval = Duration::from_millis(config.repair_interval_ms);
-        Some(std::thread::spawn(move || {
+        Some(std::thread::spawn(so_telemetry::carry(move || {
             let mut last = Instant::now();
             while !stop.load(Ordering::Acquire) {
                 std::thread::sleep(Duration::from_millis(10));
@@ -222,7 +222,7 @@ pub fn run_serve(
                     }
                 }
             }
-        }))
+        })))
     } else {
         None
     };

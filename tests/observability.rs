@@ -6,10 +6,9 @@
 //! Prometheus/report renderers carrying the online engine's labeled
 //! gauges.
 //!
-//! Lives in its own integration-test binary because two process-global
-//! switches are exercised here — [`so_parallel::set_thread_limit`] and
-//! the installed telemetry sink ([`so_telemetry::install`]) — and the
-//! default test harness runs `#[test]` functions on concurrent threads.
+//! Lives in its own integration-test binary because the process-global
+//! [`so_parallel::set_thread_limit`] is exercised here, and the default
+//! test harness runs `#[test]` functions on concurrent threads.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -22,8 +21,7 @@ use so_telemetry::{
     default_online_rules, render_report, FlightKind, LivePlane, MetricsServer, RecordingSink,
 };
 
-/// Serializes the tests in this binary: thread limits and the installed
-/// sink are process-global.
+/// Serializes the tests in this binary: thread limits are process-global.
 static GLOBAL_STATE_LOCK: Mutex<()> = Mutex::new(());
 
 fn small_stream() -> OnlineScaleConfig {
@@ -232,31 +230,31 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 #[test]
 fn http_surface_serves_all_four_endpoints_during_a_live_run() {
     let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Install the sink globally so the engine's gauges land on /metrics,
+    // Bind the plane's sink so the engine's gauges land on /metrics,
     // exactly as `smoothop online --listen` wires it.
     let sink = Arc::new(RecordingSink::with_wall_clock());
-    so_telemetry::install(sink.clone());
     let config = OnlineScaleConfig {
         plant_violation: false,
         ..small_stream()
     };
-    let plane = stream_plane(sink);
+    let plane = stream_plane(sink.clone());
     let server = MetricsServer::spawn("127.0.0.1:0", plane.clone()).unwrap();
     let addr = server.addr();
 
     // Scrape mid-run from inside the emit callback: the surface must be
     // live *while* the engine streams, not only after it finishes.
     let mut scraped_midrun = false;
-    let report = run_online_scale(&config, Some(plane), |line| {
-        if !scraped_midrun && line.starts_with("{\"kind\":\"batch\",\"batch\":2") {
-            scraped_midrun = true;
-            let metrics = http_get(addr, "/metrics");
-            assert!(metrics.starts_with("HTTP/1.1 200"), "{metrics}");
-            assert!(metrics.contains("so_online_live_instances"), "{metrics}");
-        }
+    let report = so_telemetry::with_sink(sink, || {
+        run_online_scale(&config, Some(plane), |line| {
+            if !scraped_midrun && line.starts_with("{\"kind\":\"batch\",\"batch\":2") {
+                scraped_midrun = true;
+                let metrics = http_get(addr, "/metrics");
+                assert!(metrics.starts_with("HTTP/1.1 200"), "{metrics}");
+                assert!(metrics.contains("so_online_live_instances"), "{metrics}");
+            }
+        })
     })
     .unwrap();
-    so_telemetry::uninstall();
     assert!(scraped_midrun, "mid-run scrape never happened");
     assert!(report.points[0].committed > 0);
 
@@ -281,18 +279,18 @@ fn http_surface_serves_all_four_endpoints_during_a_live_run() {
 fn online_gauges_reach_the_prometheus_exporter_and_the_report_renderer() {
     let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let sink = Arc::new(RecordingSink::with_virtual_clock());
-    so_telemetry::install(sink.clone());
-    let mut engine = micro_fleet();
-    // A fragmentation reference turns on the per-level labeled gauges,
-    // re-emitted on every commit and retirement.
-    engine
-        .set_fragmentation_reference(Some(&flat(50.0)))
-        .unwrap();
-    let slot = engine.arrive(&flat(100.0)).unwrap().unwrap();
-    engine.arrive(&flat(100.0)).unwrap();
-    engine.retire(slot).unwrap();
-    engine.observe_batch().unwrap();
-    so_telemetry::uninstall();
+    so_telemetry::with_sink(sink.clone(), || {
+        let mut engine = micro_fleet();
+        // A fragmentation reference turns on the per-level labeled gauges,
+        // re-emitted on every commit and retirement.
+        engine
+            .set_fragmentation_reference(Some(&flat(50.0)))
+            .unwrap();
+        let slot = engine.arrive(&flat(100.0)).unwrap().unwrap();
+        engine.arrive(&flat(100.0)).unwrap();
+        engine.retire(slot).unwrap();
+        engine.observe_batch().unwrap();
+    });
 
     let prometheus = sink.prometheus();
     for needle in [
